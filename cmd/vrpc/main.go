@@ -16,8 +16,9 @@
 //	             stream (integers)
 //	-profile     with -run (required), print observed branch probabilities
 //	             next to the predictions
-//	-trace FILE  run with telemetry and write a Chrome trace_event JSON
-//	             file (open in chrome://tracing or Perfetto)
+//	-trace FILE  write the run's span tree (parse, ssa, vrp with its
+//	             callgraph/pass/wave/engine children) as a Chrome
+//	             trace_event JSON file (open in chrome://tracing or Perfetto)
 //	-telemetry   run with telemetry and print the run summary (engine
 //	             steps, worklist peaks, widenings, histograms) to stderr
 //	-explain F   explain one branch prediction: F is func:line (or just
@@ -40,6 +41,7 @@ import (
 
 	"vrp"
 	"vrp/internal/ir"
+	"vrp/internal/telemetry"
 )
 
 func main() {
@@ -50,8 +52,8 @@ func main() {
 		numeric    = flag.Bool("numeric", false, "disable symbolic ranges")
 		run        = flag.Bool("run", false, "execute the program on the inputs given after the file name")
 		profile    = flag.Bool("profile", false, "with -run, print observed branch probabilities")
-		traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON file of the analysis run")
-		telemetry  = flag.Bool("telemetry", false, "print the telemetry summary of the analysis run to stderr")
+		traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON file of the compile and analysis run")
+		summary    = flag.Bool("telemetry", false, "print the telemetry summary of the analysis run to stderr")
 		explain    = flag.String("explain", "", "explain the branch at func:line (func alone if it has one branch)")
 	)
 	flag.Parse()
@@ -69,7 +71,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	prog, err := vrp.Compile(name, string(src))
+	var tr *telemetry.Trace // nil: tracing off
+	if *traceOut != "" {
+		tr = telemetry.NewTrace()
+	}
+	prog, err := vrp.CompileWith(name, string(src), vrp.CompileOptions{Trace: tr, TraceParent: telemetry.NoSpan})
 	if err != nil {
 		fatal(err)
 	}
@@ -81,10 +87,12 @@ func main() {
 	if *numeric {
 		opts = append(opts, vrp.NumericOnly())
 	}
-	if *traceOut != "" || *telemetry {
+	if *summary {
 		opts = append(opts, vrp.WithTelemetry())
 	}
-	analysis, err := prog.Analyze(opts...)
+	vrpSpan := tr.Start(telemetry.NoSpan, "phase", "vrp")
+	analysis, err := prog.Analyze(append(opts, vrp.WithTrace(tr, vrpSpan))...)
+	tr.End(vrpSpan)
 	if err != nil {
 		fatal(err)
 	}
@@ -94,23 +102,22 @@ func main() {
 	if !analysis.Converged() {
 		fmt.Fprintln(os.Stderr, "vrpc: warning: analysis did not converge; optimistic ranges were demoted to ⊥")
 	}
-	if snap := analysis.Telemetry(); snap != nil {
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fatal(err)
-			}
-			if err := snap.WriteChromeTrace(f); err != nil {
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "vrpc: wrote %d trace events to %s\n", len(snap.Events), *traceOut)
+	if tr != nil {
+		f, err := os.Create(*traceOut)
+		if err != nil {
+			fatal(err)
 		}
-		if *telemetry {
-			fmt.Fprint(os.Stderr, snap.Summary())
+		spans := tr.Spans()
+		if err := telemetry.WriteSpanChromeTrace(f, spans); err != nil {
+			fatal(err)
 		}
+		if err := f.Close(); err != nil {
+			fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "vrpc: wrote %d trace spans to %s\n", len(spans), *traceOut)
+	}
+	if *summary {
+		fmt.Fprint(os.Stderr, analysis.Telemetry().Summary())
 	}
 	if *explain != "" {
 		fn, line := *explain, 0

@@ -1,6 +1,7 @@
 package freq_test
 
 import (
+	"math"
 	"testing"
 
 	"vrp"
@@ -110,5 +111,60 @@ func TestComputeMatchesReferencePresets(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		diffOne(t, name, p.IR)
+	}
+}
+
+// mutualSrc is a mutually recursive pair whose callees each collect
+// invocation weight from several callers, so the call-graph propagation
+// sums more than two terms per callee.
+const mutualSrc = `
+func isEven(n) {
+	if (n == 0) { return 1; }
+	return isOdd(n - 1);
+}
+func isOdd(n) {
+	if (n == 0) { return 0; }
+	if (n > 100) { return isEven(n - 2); }
+	return isEven(n - 1);
+}
+func main() {
+	var n = input();
+	print(isEven(n));
+	print(isOdd(n));
+	print(isEven(n + 1));
+}
+`
+
+// TestProgramFrequenciesReproducible re-solves the program-level
+// frequencies of recursive programs many times and requires bitwise-equal
+// invocation counts: float addition is not associative, so the call-graph
+// propagation must accumulate each callee's incoming weight in one fixed
+// order on every solve.
+func TestProgramFrequenciesReproducible(t *testing.T) {
+	for _, tc := range []struct{ name, src string }{
+		{"ackermann", corpus.ByName("ackermann").Source},
+		{"mutual", mutualSrc},
+	} {
+		p, err := vrp.Compile(tc.name+".mini", tc.src)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		a, err := p.Analyze()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want := a.Frequencies().Invocations
+		for round := 0; round < 200; round++ {
+			got := a.Frequencies().Invocations
+			if len(got) != len(want) {
+				t.Fatalf("%s round %d: %d invoked functions, want %d", tc.name, round, len(got), len(want))
+			}
+			for f, n := range want {
+				if math.Float64bits(got[f]) != math.Float64bits(n) {
+					t.Fatalf("%s round %d: %s invocations %v, first solve %v",
+						tc.name, round, f.Name, got[f], n)
+				}
+			}
+		}
 	}
 }

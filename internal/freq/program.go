@@ -82,7 +82,14 @@ func ComputeProgram(p *ir.Program, prob func(f *ir.Func, br *ir.Instr) (float64,
 	inv := map[*ir.Func]float64{main: 1}
 	for pass := 0; pass < maxCallPasses; pass++ {
 		next := map[*ir.Func]float64{main: 1}
-		for f, n := range inv {
+		// Program order, not map order: float addition is not
+		// associative, so a fixed summation order keeps every solve
+		// bit-reproducible.
+		for _, f := range p.Funcs {
+			n, ok := inv[f]
+			if !ok {
+				continue
+			}
 			for _, ce := range outs[f] {
 				next[ce.callee] += n * ce.w
 			}

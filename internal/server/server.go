@@ -675,9 +675,9 @@ func (s *Server) analyzeCompiled(ctx context.Context, prog *vrp.Program, explain
 	}
 	vrpSpan := tr.Start(parent, "phase", "vrp")
 	opts := []vrp.Option{vrp.WithTelemetry(), vrp.WithWorkers(s.cfg.Workers), vrp.WithTrace(tr, vrpSpan)}
-	// Telemetry snapshots include per-function run events, which a store
-	// splice deliberately does not replay — so telemetry requests skip
-	// the store to keep their snapshots faithful to a real full run.
+	// Telemetry snapshots include per-function run counters, which a
+	// store splice deliberately does not replay — so telemetry requests
+	// skip the store to keep their snapshots faithful to a real full run.
 	if s.fstore != nil && !wantTelemetry {
 		opts = append(opts, vrp.WithFuncStore(s.fstore))
 	}

@@ -12,8 +12,10 @@ import (
 // one request end to end: the server opens the root over the whole
 // handler, hangs one phase span per pipeline stage off it (validate,
 // cache probe, parse, SSA, render), and the analysis driver fills the
-// "vrp" phase with callgraph/pass/wave/engine/splice children — so a
-// single artifact answers "which phase ate the time" for any request.
+// "vrp" phase with callgraph/pass/wave/engine/splice children, plus
+// zero-duration skip and diag marks — so a single artifact answers
+// "which phase ate the time" for any request. It is the only timeline:
+// vrpc -trace, vrpd and vrpbench all export this tree.
 //
 // The same two properties that shape RunMetrics shape Trace:
 //
@@ -23,9 +25,9 @@ import (
 //     so an untraced analysis compiles down to compare-and-skip.
 //   - Enabled tracing never perturbs analysis results. Spans carry only
 //     wall-clock timings and small label payloads; nothing in the lattice
-//     reads them back. Span *timings* are inherently nondeterministic
-//     (like Event.Start/Dur, which Snapshot.Canon zeroes), so tests
-//     assert on the tree structure and names, never on durations.
+//     reads them back. Span *timings* are inherently nondeterministic,
+//     so tests assert on the tree structure and names, never on
+//     durations.
 //
 // Concurrency: Start/End/Annotate take an internal mutex, so driver
 // workers can open engine spans from concurrent goroutines. The mutex is
@@ -85,6 +87,17 @@ func (t *Trace) Start(parent SpanID, cat, name string) SpanID {
 // StartLane is Start on an explicit lane (driver workers pass their slot
 // index + 1). lane < 0 inherits the parent's lane, or 0 for roots.
 func (t *Trace) StartLane(parent SpanID, lane int32, cat, name string) SpanID {
+	return t.add(parent, lane, cat, name, -1)
+}
+
+// Mark records a zero-duration span: a point on the timeline, such as a
+// skipped function or a diagnostic, placed in the tree where it happened.
+func (t *Trace) Mark(parent SpanID, lane int32, cat, name string) SpanID {
+	return t.add(parent, lane, cat, name, 0)
+}
+
+// add appends a span starting now with the given duration (-1: open).
+func (t *Trace) add(parent SpanID, lane int32, cat, name string, dur int64) SpanID {
 	if t == nil {
 		return NoSpan
 	}
@@ -103,7 +116,7 @@ func (t *Trace) StartLane(parent SpanID, lane int32, cat, name string) SpanID {
 		Parent: parent,
 		Lane:   lane,
 		Start:  now,
-		Dur:    -1,
+		Dur:    dur,
 	})
 	t.mu.Unlock()
 	return id
@@ -178,15 +191,34 @@ func PhaseDurations(spans []Span, root SpanID) map[string]int64 {
 	return out
 }
 
+// chromeEvent is one trace_event record. ts and dur are microseconds.
+type chromeEvent struct {
+	Name string            `json:"name"`
+	Cat  string            `json:"cat,omitempty"`
+	Ph   string            `json:"ph"`
+	Ts   float64           `json:"ts"`
+	Dur  float64           `json:"dur,omitempty"`
+	Pid  int               `json:"pid"`
+	Tid  int               `json:"tid"`
+	Args map[string]string `json:"args,omitempty"`
+}
+
+type chromeTrace struct {
+	TraceEvents     []chromeEvent `json:"traceEvents"`
+	DisplayTimeUnit string        `json:"displayTimeUnit"`
+}
+
 // WriteSpanChromeTrace serializes a span tree as Chrome trace_event JSON
-// (the same JSON Object Format trace.go emits for Snapshot events), so
-// request traces open directly in chrome://tracing and Perfetto. Each
-// lane becomes one thread row; spans are complete ("X") events whose
+// (the JSON Object Format consumed by chrome://tracing and Perfetto,
+// https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU).
+// Each lane becomes one thread row; spans are complete ("X") events whose
 // nesting Perfetto reconstructs from time containment within a lane.
 func WriteSpanChromeTrace(w io.Writer, spans []Span) error {
 	const pid = 1
-	var out chromeTrace
-	out.DisplayTimeUnit = "ms"
+	out := chromeTrace{
+		TraceEvents:     make([]chromeEvent, 0, len(spans)+1),
+		DisplayTimeUnit: "ms",
+	}
 
 	lanes := map[int32]bool{}
 	for _, sp := range spans {

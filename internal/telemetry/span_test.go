@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"sync"
 	"testing"
 )
@@ -16,6 +17,7 @@ func TestNilTraceZeroAlloc(t *testing.T) {
 		id := tr.Start(NoSpan, "phase", "vrp")
 		id2 := tr.StartLane(id, 3, "engine", "kernel")
 		tr.Annotate(id2, "outcome", "ok")
+		tr.Mark(id, 3, "skip", "helper")
 		_ = tr.Now()
 		tr.End(id2)
 		tr.End(id)
@@ -30,7 +32,8 @@ func TestNilTraceZeroAlloc(t *testing.T) {
 }
 
 // TestSpanTree exercises the structural contract: parent linkage, lane
-// inheritance, idempotent End, open-span snapshots, and Args copying.
+// inheritance, idempotent End, open-span snapshots, zero-duration marks,
+// and Args copying.
 func TestSpanTree(t *testing.T) {
 	tr := NewTrace()
 	root := tr.Start(NoSpan, "request", "POST /v1/analyze")
@@ -51,10 +54,15 @@ func TestSpanTree(t *testing.T) {
 			open[0].Dur, open[1].Dur)
 	}
 
+	mark := tr.Mark(vrp, -1, "diag", "non-convergence") // inherits lane 0
+	tr.End(mark)                                        // a mark is already closed
 	tr.End(vrp)
 	tr.End(root)
 	tr.End(root) // idempotent: second End must not change the duration
 	spans := tr.Spans()
+	if m := spans[mark]; m.Parent != vrp || m.Lane != 0 || m.Dur != 0 {
+		t.Errorf("mark = parent %d lane %d dur %d, want parent %d lane 0 dur 0", m.Parent, m.Lane, m.Dur, vrp)
+	}
 
 	if spans[0].Parent != NoSpan || spans[1].Parent != root || spans[2].Parent != vrp || spans[3].Parent != eng {
 		t.Errorf("parent chain wrong: %d %d %d %d",
@@ -132,15 +140,24 @@ func TestPhaseDurations(t *testing.T) {
 	}
 }
 
+// errWriter is a sink whose every write fails.
+type errWriter struct{ err error }
+
+func (w errWriter) Write([]byte) (int, error) { return 0, w.err }
+
 // TestWriteSpanChromeTraceGolden pins the span-tree Chrome export: one
 // thread_name metadata row per populated lane (request / worker N), "X"
-// complete events with ns→µs conversion, and args passed through.
+// complete events with ns→µs conversion, dur omitted on zero-duration
+// marks, and args passed through. It also checks that an empty tree
+// still writes a loadable trace and that a failing sink's error reaches
+// the caller.
 func TestWriteSpanChromeTraceGolden(t *testing.T) {
 	spans := []Span{
 		{Name: "POST /v1/analyze", Cat: "request", Parent: NoSpan, Lane: 0, Start: 0, Dur: 900000},
 		{Name: "vrp", Cat: "phase", Parent: 0, Lane: 0, Start: 100000, Dur: 700000},
 		{Name: "kernel", Cat: "engine", Parent: 1, Lane: 2, Start: 150000, Dur: 500000,
 			Args: map[string]string{"outcome": "ok"}},
+		{Name: "helper", Cat: "skip", Parent: 1, Lane: 2, Start: 650000},
 	}
 	var buf bytes.Buffer
 	if err := WriteSpanChromeTrace(&buf, spans); err != nil {
@@ -197,6 +214,14 @@ func TestWriteSpanChromeTraceGolden(t *testing.T) {
    "args": {
     "outcome": "ok"
    }
+  },
+  {
+   "name": "helper",
+   "cat": "skip",
+   "ph": "X",
+   "ts": 650,
+   "pid": 1,
+   "tid": 2
   }
  ],
  "displayTimeUnit": "ms"
@@ -213,7 +238,24 @@ func TestWriteSpanChromeTraceGolden(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
 		t.Fatalf("emitted trace is not valid JSON: %v", err)
 	}
-	if len(parsed.TraceEvents) != 5 {
-		t.Fatalf("got %d trace events, want 5", len(parsed.TraceEvents))
+	if len(parsed.TraceEvents) != 6 {
+		t.Fatalf("got %d trace events, want 6", len(parsed.TraceEvents))
+	}
+
+	// An empty tree (a request traced before any span opened) is still a
+	// loadable trace: an empty traceEvents array, not null.
+	buf.Reset()
+	if err := WriteSpanChromeTrace(&buf, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := buf.String(), "{\n \"traceEvents\": [],\n \"displayTimeUnit\": \"ms\"\n}\n"; got != want {
+		t.Errorf("empty trace = %q, want %q", got, want)
+	}
+
+	// json.Encoder buffers the whole document into one Write, so a sink
+	// that fails at all fails that write; the error must surface.
+	sinkErr := errors.New("disk full")
+	if err := WriteSpanChromeTrace(errWriter{sinkErr}, spans); !errors.Is(err, sinkErr) {
+		t.Errorf("failing sink: err = %v, want %v", err, sinkErr)
 	}
 }

@@ -84,6 +84,16 @@ type statCounters struct {
 	funcsDegraded int64
 }
 
+// addEffort folds one function's engine work into the counters.
+func (s *statCounters) addEffort(st *Stats) {
+	s.exprEvals += st.ExprEvals
+	s.phiEvals += st.PhiEvals
+	s.flowVisits += st.FlowVisits
+	s.derivedLoops += st.DerivedLoops
+	s.failedDerives += st.FailedDerives
+	s.subOps += st.SubOps
+}
+
 func (s *statCounters) addAtomic(l *statCounters) {
 	atomic.AddInt64(&s.exprEvals, l.exprEvals)
 	atomic.AddInt64(&s.phiEvals, l.phiEvals)
@@ -164,11 +174,11 @@ type driver struct {
 	bodyFPs  []uint64
 	configFP uint64
 
-	// rec is the run's telemetry recorder, nil when disabled. Counters
-	// and events go into per-function slots (owned by the task analyzing
-	// the function, like results and diags), so enabled telemetry is
-	// bit-identical across worker counts; wall-clock durations are the
-	// only nondeterministic fields.
+	// rec is the run's telemetry recorder, nil when disabled. Counters go
+	// into per-function slots (owned by the task analyzing the function,
+	// like results and diags), so enabled telemetry is bit-identical
+	// across worker counts; wall-clock durations are the only
+	// nondeterministic fields.
 	rec *telemetry.Recorder
 
 	// Non-convergence demotion accounting (filled single-threaded by
@@ -268,7 +278,7 @@ func (d *driver) run(ctx context.Context) (*Result, error) {
 		if d.rec != nil {
 			passStart = d.rec.Now()
 		}
-		var passSpan telemetry.SpanID = telemetry.NoSpan
+		passSpan := telemetry.NoSpan
 		if d.cfg.Trace != nil {
 			passSpan = d.cfg.Trace.Start(d.cfg.TraceParent, "driver", "pass "+strconv.Itoa(pass))
 		}
@@ -277,36 +287,18 @@ func (d *driver) run(ctx context.Context) (*Result, error) {
 				d.cancelled.Store(true)
 				break
 			}
-			var waveStart int64
-			if d.rec != nil {
-				waveStart = d.rec.Now()
-			}
-			var waveSpan telemetry.SpanID = telemetry.NoSpan
+			waveSpan := telemetry.NoSpan
 			if d.cfg.Trace != nil {
 				waveSpan = d.cfg.Trace.Start(passSpan, "driver", "wave "+strconv.Itoa(wi))
 			}
-			d.runWave(wi, wave, waveSpan)
+			d.runWave(wave, waveSpan)
 			d.cfg.Trace.End(waveSpan)
-			if d.rec != nil {
-				d.rec.EmitDriver(telemetry.Event{
-					Name: "wave " + strconv.Itoa(wi), Cat: "wave", Ph: "X",
-					Pass: pass, Wave: wi, Func: -1,
-					Args:  map[string]string{"sccs": strconv.Itoa(len(wave))},
-					Start: waveStart, Dur: d.rec.Now() - waveStart,
-				})
-			}
 		}
 		if d.cfg.Trace != nil {
 			d.cfg.Trace.Annotate(passSpan, "changed", strconv.FormatBool(d.changed.Load()))
 			d.cfg.Trace.End(passSpan)
 		}
 		if d.rec != nil {
-			d.rec.EmitDriver(telemetry.Event{
-				Name: "pass " + strconv.Itoa(pass), Cat: "pass", Ph: "X",
-				Pass: pass, Wave: -1, Func: -1,
-				Args:  map[string]string{"changed": strconv.FormatBool(d.changed.Load())},
-				Start: passStart, Dur: d.rec.Now() - passStart,
-			})
 			d.rec.EndPass(passStart)
 		}
 		if d.cancelled.Load() || !d.changed.Load() {
@@ -321,6 +313,7 @@ func (d *driver) run(ctx context.Context) (*Result, error) {
 			Pass: d.pass,
 			Msg:  fmt.Sprintf("analysis cancelled: %v", ctx.Err()),
 		})
+		d.traceDiags(diags)
 		return nil, &AnalysisError{Err: ctx.Err(), Stats: res.Stats, Diagnostics: diags}
 	}
 	res.Stats.Converged = !d.changed.Load()
@@ -332,28 +325,37 @@ func (d *driver) run(ctx context.Context) (*Result, error) {
 		res.Funcs[f] = d.results[i]
 	}
 	res.Diagnostics = d.collectDiags()
+	d.traceDiags(res.Diagnostics)
 	d.finishTelemetry(res, passes)
 	d.releaseTables()
 	return res, nil
 }
 
-// finishTelemetry attaches the aggregated snapshot to the result: diag
-// instant events, the interprocedural boundary-drop count, and the three
+// traceDiags marks each diagnostic as a zero-duration diag span under
+// the analysis span, named "kind func" ("kind" for whole-analysis
+// events). The name carries the payload instead of span args: vrpd's
+// flight recorder retains every non-converged request's tree, and an
+// args map per mark would multiply its footprint.
+func (d *driver) traceDiags(diags []Diagnostic) {
+	if d.cfg.Trace == nil {
+		return
+	}
+	for _, dg := range diags {
+		name := dg.Kind.String()
+		if dg.Func != "" {
+			name += " " + dg.Func
+		}
+		d.cfg.Trace.Mark(d.cfg.TraceParent, -1, "diag", name)
+	}
+}
+
+// finishTelemetry attaches the aggregated snapshot to the result: the
+// interprocedural boundary-drop count, the interner gauges, and the three
 // histograms (range-set size, range span, per-function pass counts) that
 // need IR-level context the telemetry package does not depend on.
 func (d *driver) finishTelemetry(res *Result, maxPasses int) {
 	if d.rec == nil {
 		return
-	}
-	for fi, ds := range d.diags {
-		for _, dg := range ds {
-			d.rec.EmitFunc(fi, telemetry.Event{
-				Name: "diag " + dg.Kind.String(), Cat: "diag", Ph: "i",
-				Pass: dg.Pass, Wave: -1, Func: fi,
-				Args:  map[string]string{"kind": dg.Kind.String()},
-				Start: d.rec.Now(),
-			})
-		}
 	}
 	snap := d.rec.Snapshot()
 	snap.BoundaryDrops = d.ip.drops.Load()
@@ -687,10 +689,10 @@ func (d *driver) redoStalePredictions(fi int, fr *FuncResult) int {
 }
 
 // runWave analyzes every SCC of one wave, concurrently when the pool and
-// the wave allow it. waveSpan parents the per-SCC engine/splice spans;
+// the wave allow it. waveSpan parents the per-SCC engine/splice/skip spans;
 // each worker slot draws its own trace lane so concurrent engine runs
 // render on separate rows.
-func (d *driver) runWave(wi int, wave []int, waveSpan telemetry.SpanID) {
+func (d *driver) runWave(wave []int, waveSpan telemetry.SpanID) {
 	nw := d.workers
 	if nw > len(wave) {
 		nw = len(wave)
@@ -701,7 +703,7 @@ func (d *driver) runWave(wi int, wave []int, waveSpan telemetry.SpanID) {
 			if d.cancelled.Load() {
 				return
 			}
-			d.runSCC(wi, scc, it, waveSpan, 1)
+			d.runSCC(scc, it, waveSpan, 1)
 		}
 		return
 	}
@@ -720,7 +722,7 @@ func (d *driver) runWave(wi int, wave []int, waveSpan telemetry.SpanID) {
 				if i >= len(wave) || d.cancelled.Load() {
 					return
 				}
-				d.runSCC(wi, wave[i], it, waveSpan, lane)
+				d.runSCC(wave[i], it, waveSpan, lane)
 			}
 		}()
 	}
@@ -805,7 +807,11 @@ func (d *driver) releaseTables() {
 // run is panic-isolated: a panic (or an exhausted step budget) degrades
 // that one function to the ⊥/heuristic fallback and quarantines it,
 // instead of killing the process from a worker goroutine.
-func (d *driver) runSCC(wi, scc int, it *vrange.Interner, waveSpan telemetry.SpanID, lane int32) {
+//
+// A function that is not skipped ends in one of five outcomes — spliced
+// from the store, ok, degraded:panic, degraded:step-budget or cancelled —
+// and every outcome shares one close-out for results, counters and spans.
+func (d *driver) runSCC(scc int, it *vrange.Interner, waveSpan telemetry.SpanID, lane int32) {
 	var local statCounters
 	changed := false
 	for _, fi := range d.sccFuncs[scc] {
@@ -819,6 +825,7 @@ func (d *driver) runSCC(wi, scc int, it *vrange.Interner, waveSpan telemetry.Spa
 			d.cancelled.Store(true)
 			break
 		}
+		f := d.cg.Funcs[fi]
 		calc := vrange.NewCalcWith(d.cfg.Range, it)
 		in := d.computeInputs(fi, calc)
 		if !d.cfg.noSkip && d.results[fi] != nil && d.prevIn[fi] != nil &&
@@ -828,10 +835,22 @@ func (d *driver) runSCC(wi, scc int, it *vrange.Interner, waveSpan telemetry.Spa
 			local.funcsSkipped++
 			local.subOps += calc.SubOps
 			if d.rec != nil {
-				d.rec.Skip(fi, d.pass, wi)
+				d.rec.Skip(fi)
 			}
+			d.cfg.Trace.Mark(waveSpan, lane, "skip", f.Name)
 			continue
 		}
+
+		var (
+			span    = telemetry.NoSpan
+			outcome string
+			fr      *FuncResult
+			bf      func(*ir.Block) float64
+			effort  Stats // engine work replayed into the stats; calc.SubOps is added at close-out
+			diag    *Diagnostic
+			eng     *engine
+			rm      *telemetry.RunMetrics
+		)
 		// Cross-request store: a hit with a confirmed key (same body, same
 		// callee binding, bit-equal inputs, same config) replays a prior
 		// run's outputs — by the same determinism argument as the skip
@@ -842,58 +861,91 @@ func (d *driver) runSCC(wi, scc int, it *vrange.Interner, waveSpan telemetry.Spa
 		if d.cfg.FuncStore != nil {
 			sKey = d.funcKey(fi, in)
 			if sf, ok := d.cfg.FuncStore.Lookup(sKey); ok {
-				var spliceSpan telemetry.SpanID = telemetry.NoSpan
-				if d.cfg.Trace != nil {
-					spliceSpan = d.cfg.Trace.StartLane(waveSpan, lane, "splice", d.cg.Funcs[fi].Name)
+				span = d.cfg.Trace.StartLane(waveSpan, lane, "splice", f.Name)
+				if fr, bf, ok = d.spliceStored(fi, sf); ok {
+					outcome = "spliced"
+					effort = Stats{ExprEvals: sf.ExprEvals, PhiEvals: sf.PhiEvals, FlowVisits: sf.FlowVisits,
+						DerivedLoops: sf.DerivedLoops, FailedDerives: sf.FailedDerives, SubOps: sf.SubOps}
+				} else {
+					// Confirmed lookup that failed reconstruction: the engine
+					// runs below; close the splice span so the trace shows the
+					// attempt without claiming the time.
+					d.cfg.Trace.Annotate(span, "outcome", "fallthrough")
+					d.cfg.Trace.End(span)
 				}
-				if fr, bf, ok := d.spliceStored(fi, sf); ok {
-					d.results[fi] = fr
-					if d.ip.update(fi, fr.Val, bf, calc) {
-						changed = true
-					}
-					d.prevIn[fi] = in.vec
-					d.prevFP[fi] = in.hash
-					local.funcsAnalyzed++
-					local.funcsSpliced++
-					local.exprEvals += sf.ExprEvals
-					local.phiEvals += sf.PhiEvals
-					local.flowVisits += sf.FlowVisits
-					local.derivedLoops += sf.DerivedLoops
-					local.failedDerives += sf.FailedDerives
-					local.subOps += calc.SubOps + sf.SubOps
-					d.cfg.Trace.End(spliceSpan)
-					continue
-				}
-				// Confirmed lookup that failed reconstruction: the engine
-				// runs below; close the splice span so the trace shows the
-				// attempt without claiming the time.
-				d.cfg.Trace.Annotate(spliceSpan, "outcome", "fallthrough")
-				d.cfg.Trace.End(spliceSpan)
 			}
 		}
-		subOps0 := calc.SubOps
-		var rm *telemetry.RunMetrics
-		var t0 int64
-		if d.rec != nil {
-			rm = d.rec.StartRun()
-			t0 = d.rec.Now()
+		if outcome != "spliced" {
+			if d.rec != nil {
+				rm = d.rec.StartRun()
+			}
+			span = d.cfg.Trace.StartLane(waveSpan, lane, "engine", f.Name)
+			subOps0 := calc.SubOps
+			var panicked any
+			eng, panicked = d.runEngine(fi, calc, in, rm)
+			switch {
+			case panicked != nil:
+				outcome = "degraded:panic"
+				diag = &Diagnostic{Kind: DiagPanic, Func: f.Name, SCC: scc, Pass: d.pass,
+					Msg: fmt.Sprintf("engine panicked: %v", panicked), PanicValue: panicked}
+			case eng.abort == abortCancelled:
+				outcome = "cancelled"
+			case eng.abort == abortStepBudget:
+				// The aborted engine's partial work still happened; count it
+				// so Stats stay an honest account of effort spent.
+				outcome, effort = "degraded:step-budget", eng.stats
+				diag = &Diagnostic{Kind: DiagStepBudget, Func: f.Name, SCC: scc, Pass: d.pass,
+					Msg: fmt.Sprintf("engine exceeded MaxEngineSteps=%d after %d steps; result degraded to ⊥",
+						d.cfg.MaxEngineSteps, eng.steps)}
+			default:
+				outcome, effort = "ok", eng.stats
+				fr, bf = eng.result(), eng.blockFreq
+				if sKey != nil {
+					// Record before ip.update so SubOps covers the engine alone;
+					// the splice path re-executes the update live and counts
+					// its own.
+					d.cfg.FuncStore.Store(sKey.Detach(),
+						encodeStored(f, fr, eng.blkFreq, eng.stats, calc.SubOps-subOps0))
+				}
+			}
+			if diag != nil {
+				fr, bf = d.fallback(fi)
+			}
 		}
-		var engSpan telemetry.SpanID = telemetry.NoSpan
+
+		// Close-out. A cancelled run is discarded: no result, no counters.
+		if outcome != "cancelled" {
+			d.results[fi] = fr
+			if d.ip.update(fi, fr.Val, bf, calc) {
+				changed = true
+			}
+			if diag != nil {
+				// Quarantine: the degraded contribution is already a fixpoint.
+				d.poisoned[fi] = true
+				d.prevIn[fi] = nil
+				d.diags[fi] = append(d.diags[fi], *diag)
+				local.funcsDegraded++
+			} else {
+				d.prevIn[fi] = in.vec
+				d.prevFP[fi] = in.hash
+			}
+			if outcome == "spliced" {
+				local.funcsSpliced++
+			}
+			local.funcsAnalyzed++
+			local.addEffort(&effort)
+			local.subOps += calc.SubOps
+		}
 		if d.cfg.Trace != nil {
-			engSpan = d.cfg.Trace.StartLane(waveSpan, lane, "engine", d.cg.Funcs[fi].Name)
+			if outcome != "spliced" { // a splice span's category is its outcome
+				d.cfg.Trace.Annotate(span, "outcome", outcome)
+			}
+			if eng != nil {
+				d.cfg.Trace.Annotate(span, "steps", strconv.FormatInt(eng.steps, 10))
+			}
+			d.cfg.Trace.End(span)
 		}
-		eng, panicked := d.runEngine(fi, calc, in, rm)
-		endRun := func(outcome string) {
-			if d.cfg.Trace != nil {
-				d.cfg.Trace.Annotate(engSpan, "outcome", outcome)
-				if eng != nil {
-					d.cfg.Trace.Annotate(engSpan, "steps", fmt.Sprint(eng.steps))
-				}
-				d.cfg.Trace.End(engSpan)
-			}
-			if d.rec == nil {
-				return
-			}
+		if rm != nil {
 			if eng != nil { // nil after a panic: the engine (and its stats) were discarded
 				rm.DeriveHits = eng.stats.DerivedLoops
 				rm.DeriveMiss = eng.stats.FailedDerives
@@ -909,71 +961,15 @@ func (d *driver) runSCC(wi, scc int, it *vrange.Interner, waveSpan telemetry.Spa
 				MergeMemoHits: calc.MergeMemoHits,
 				MergeMemoMiss: calc.MergeMemoMisses,
 			})
-			d.rec.EndRun(fi, d.pass, wi, rm, t0, outcome)
+			d.rec.EndRun(fi, rm, outcome)
 		}
-		if panicked != nil {
-			d.degradeFunc(fi, calc, &local, &changed, Diagnostic{
-				Kind:       DiagPanic,
-				Func:       d.cg.Funcs[fi].Name,
-				SCC:        scc,
-				Pass:       d.pass,
-				Msg:        fmt.Sprintf("engine panicked: %v", panicked),
-				PanicValue: panicked,
-			})
-			local.subOps += calc.SubOps
-			endRun("degraded:panic")
-			continue
-		}
-		switch eng.abort {
-		case abortCancelled:
-			endRun("cancelled")
+		if outcome == "cancelled" {
 			d.cancelled.Store(true)
-			d.stats.addAtomic(&local)
-			if changed {
-				d.changed.Store(true)
-			}
-			return
-		case abortStepBudget:
-			d.degradeFunc(fi, calc, &local, &changed, Diagnostic{
-				Kind: DiagStepBudget,
-				Func: d.cg.Funcs[fi].Name,
-				SCC:  scc,
-				Pass: d.pass,
-				Msg: fmt.Sprintf("engine exceeded MaxEngineSteps=%d after %d steps; result degraded to ⊥",
-					d.cfg.MaxEngineSteps, eng.steps),
-			})
-			// The aborted engine's partial work still happened; count it so
-			// Stats stay an honest account of effort spent.
-			local.exprEvals += eng.stats.ExprEvals
-			local.phiEvals += eng.stats.PhiEvals
-			local.flowVisits += eng.stats.FlowVisits
-			local.derivedLoops += eng.stats.DerivedLoops
-			local.failedDerives += eng.stats.FailedDerives
-			local.subOps += calc.SubOps
-			endRun("degraded:step-budget")
-			continue
+			break
 		}
-		d.results[fi] = eng.result()
-		if sKey != nil {
-			// Record before ip.update so SubOps covers the engine alone; the
-			// splice path re-executes the update live and counts its own.
-			d.cfg.FuncStore.Store(sKey.Detach(),
-				encodeStored(d.cg.Funcs[fi], d.results[fi], eng.blkFreq, eng.stats, calc.SubOps-subOps0))
+		if outcome == "ok" {
+			eng.recycle()
 		}
-		if d.ip.update(fi, eng.val, eng.blockFreq, eng.calc) {
-			changed = true
-		}
-		d.prevIn[fi] = in.vec
-		d.prevFP[fi] = in.hash
-		local.funcsAnalyzed++
-		local.exprEvals += eng.stats.ExprEvals
-		local.phiEvals += eng.stats.PhiEvals
-		local.flowVisits += eng.stats.FlowVisits
-		local.derivedLoops += eng.stats.DerivedLoops
-		local.failedDerives += eng.stats.FailedDerives
-		local.subOps += calc.SubOps
-		endRun("ok")
-		eng.recycle()
 	}
 	d.stats.addAtomic(&local)
 	if changed {
@@ -1016,17 +1012,13 @@ func (d *driver) runEngine(fi int, calc *vrange.Calc, in *funcInputs, rm *teleme
 	return eng, nil
 }
 
-// degradeFunc replaces fi's result with the ⊥/heuristic fallback, folds
-// the degraded values into the interprocedural tables (callers must see ⊥,
-// not a stale optimistic range), quarantines the function, and records the
-// diagnostic.
-func (d *driver) degradeFunc(fi int, calc *vrange.Calc, local *statCounters, changed *bool, diag Diagnostic) {
+// fallback builds fi's degraded ⊥/heuristic result and the clamped
+// block-frequency function the interprocedural update folds it in with
+// (callers must see ⊥, not a stale optimistic range).
+func (d *driver) fallback(fi int) (*FuncResult, func(*ir.Block) float64) {
 	f := d.cg.Funcs[fi]
 	fr, blkFreq := degradedResult(f, d.cfg)
-	d.results[fi] = fr
-	d.poisoned[fi] = true
-	d.prevIn[fi] = nil
-	bf := func(b *ir.Block) float64 {
+	return fr, func(b *ir.Block) float64 {
 		if b == f.Entry {
 			return 1
 		}
@@ -1036,12 +1028,6 @@ func (d *driver) degradeFunc(fi int, calc *vrange.Calc, local *statCounters, cha
 		}
 		return s
 	}
-	if d.ip.update(fi, fr.Val, bf, calc) {
-		*changed = true
-	}
-	d.diags[fi] = append(d.diags[fi], diag)
-	local.funcsAnalyzed++
-	local.funcsDegraded++
 }
 
 // computeInputs snapshots fi's interprocedural inputs and fingerprints

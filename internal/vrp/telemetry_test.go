@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"vrp/internal/telemetry"
@@ -31,35 +33,61 @@ func main() {
 
 func telemetrySnapshot(t *testing.T, workers int) (*Result, *telemetry.Snapshot) {
 	t.Helper()
+	res, _ := tracedAnalyze(t, workers, DefaultConfig())
+	return res, res.Telemetry
+}
+
+// tracedAnalyze analyzes telemetrySrc with telemetry and a span tree
+// attached, the tree rooted at a "vrp" span as in a vrpd request.
+func tracedAnalyze(t *testing.T, workers int, cfg Config) (*Result, []telemetry.Span) {
+	t.Helper()
 	p := compile(t, telemetrySrc)
-	cfg := DefaultConfig()
 	cfg.Workers = workers
 	cfg.Telemetry = telemetry.New()
+	cfg.Trace = telemetry.NewTrace()
+	cfg.TraceParent = cfg.Trace.Start(telemetry.NoSpan, "phase", "vrp")
 	res, err := Analyze(p, cfg)
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
+	cfg.Trace.End(cfg.TraceParent)
 	if res.Telemetry == nil {
 		t.Fatal("Result.Telemetry is nil with telemetry enabled")
 	}
-	return res, res.Telemetry
+	return res, cfg.Trace.Spans()
+}
+
+// spanKeys renders the schedule-independent identity of every span — its
+// category, name, parent's name and outcome — as a sorted multiset.
+// Creation order and lanes depend on which worker ran what; these do not.
+func spanKeys(spans []telemetry.Span) []string {
+	keys := make([]string, len(spans))
+	for i, sp := range spans {
+		parent := ""
+		if sp.Parent != telemetry.NoSpan {
+			parent = spans[sp.Parent].Name
+		}
+		keys[i] = sp.Cat + "|" + sp.Name + "|" + parent + "|" + sp.Args["outcome"]
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // TestTelemetryDeterministicAcrossWorkers is the telemetry half of the
-// driver's bit-identity contract: the aggregated snapshot — counters,
-// histograms, and the full trace event sequence — must be identical for
-// the sequential and the maximally parallel schedule, once wall-clock
-// fields are canonicalized away. Run under -race this also shakes out
+// driver's bit-identity contract: the aggregated snapshot — counters and
+// histograms — and the span tree's structure must be identical for the
+// sequential and the maximally parallel schedule, once wall-clock fields
+// are canonicalized away. Run under -race this also shakes out
 // unsynchronized slot access.
 func TestTelemetryDeterministicAcrossWorkers(t *testing.T) {
-	_, seq := telemetrySnapshot(t, 1)
-	_, par := telemetrySnapshot(t, 8)
-	a, b := seq.Canon(), par.Canon()
+	seq, seqSpans := tracedAnalyze(t, 1, DefaultConfig())
+	par, parSpans := tracedAnalyze(t, 8, DefaultConfig())
+	a, b := seq.Telemetry.Canon(), par.Telemetry.Canon()
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("snapshots differ between Workers=1 and Workers=8:\n%v\nvs\n%v", a.Summary(), b.Summary())
 	}
-	if !reflect.DeepEqual(seq.EventKeys(), par.EventKeys()) {
-		t.Errorf("trace event sequences differ:\nseq: %v\npar: %v", seq.EventKeys(), par.EventKeys())
+	if ka, kb := spanKeys(seqSpans), spanKeys(parSpans); !reflect.DeepEqual(ka, kb) {
+		t.Errorf("span trees differ:\nseq: %v\npar: %v", ka, kb)
 	}
 }
 
@@ -118,53 +146,81 @@ func TestTelemetryDisabledIsFree(t *testing.T) {
 }
 
 // TestTelemetryDegradedRun verifies the failure paths surface in the
-// snapshot: a step-budget degradation shows up as a degraded run in the
-// function's slot and as a diag event in the flattened stream.
+// snapshot and the span tree: a step-budget degradation shows up as a
+// degraded run in the function's slot, as a degraded engine outcome, and
+// as a diag span under the analysis span.
 func TestTelemetryDegradedRun(t *testing.T) {
-	p := compile(t, telemetrySrc)
 	cfg := DefaultConfig()
 	cfg.MaxEngineSteps = 1
-	cfg.Telemetry = telemetry.New()
-	res, err := Analyze(p, cfg)
-	if err != nil {
-		t.Fatalf("analyze: %v", err)
-	}
-	snap := res.Telemetry
-	if snap.Totals.Degraded == 0 {
+	res, spans := tracedAnalyze(t, 0, cfg)
+	if res.Telemetry.Totals.Degraded == 0 {
 		t.Error("no degraded runs recorded")
 	}
-	foundDiag := false
-	for _, ev := range snap.Events {
-		if ev.Cat == "diag" {
-			foundDiag = true
-			break
+	diags, degraded := 0, 0
+	for _, sp := range spans {
+		switch {
+		case sp.Cat == "diag":
+			diags++
+			if sp.Parent != 0 || sp.Dur != 0 || !strings.HasPrefix(sp.Name, "step-budget ") {
+				t.Errorf("diag span %q: parent %d dur %d, want a zero-duration step-budget mark under the vrp span",
+					sp.Name, sp.Parent, sp.Dur)
+			}
+		case sp.Cat == "engine" && sp.Args["outcome"] == "degraded:step-budget":
+			degraded++
 		}
 	}
-	if !foundDiag {
-		t.Error("no diag event in the flattened stream")
+	if diags != len(res.Diagnostics) || diags == 0 {
+		t.Errorf("%d diag spans for %d diagnostics", diags, len(res.Diagnostics))
+	}
+	if int64(degraded) != res.Telemetry.Totals.Degraded {
+		t.Errorf("%d degraded engine spans, telemetry counts %d", degraded, res.Telemetry.Totals.Degraded)
 	}
 }
 
 // TestTelemetryTraceExport round-trips a real analysis through the Chrome
-// trace writer: the JSON must parse and contain every snapshot event plus
-// the thread-name metadata rows.
+// trace writer: the JSON must parse and hold one record per span plus a
+// thread-name row per lane, and a function the dirty set skipped must
+// appear as a zero-duration skip span under a wave.
 func TestTelemetryTraceExport(t *testing.T) {
-	_, snap := telemetrySnapshot(t, 0)
+	res, spans := tracedAnalyze(t, 0, DefaultConfig())
 	var buf bytes.Buffer
-	if err := snap.WriteChromeTrace(&buf); err != nil {
-		t.Fatalf("WriteChromeTrace: %v", err)
+	if err := telemetry.WriteSpanChromeTrace(&buf, spans); err != nil {
+		t.Fatalf("WriteSpanChromeTrace: %v", err)
 	}
 	var parsed struct {
 		TraceEvents []struct {
-			Name string `json:"name"`
-			Ph   string `json:"ph"`
+			Name string            `json:"name"`
+			Cat  string            `json:"cat"`
+			Ph   string            `json:"ph"`
+			Args map[string]string `json:"args"`
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
-	want := len(snap.Events) + len(snap.Funcs) + 1
-	if len(parsed.TraceEvents) != want {
-		t.Errorf("trace has %d events, want %d", len(parsed.TraceEvents), want)
+	lanes := map[int32]bool{}
+	for _, sp := range spans {
+		lanes[sp.Lane] = true
+	}
+	if want := len(spans) + len(lanes); len(parsed.TraceEvents) != want {
+		t.Errorf("trace has %d records, want %d spans + %d lane rows", len(parsed.TraceEvents), len(spans), len(lanes))
+	}
+	cats := map[string]int{}
+	for _, ev := range parsed.TraceEvents {
+		if ev.Ph == "X" {
+			cats[ev.Cat]++
+		}
+	}
+	if int64(cats["skip"]) != res.Stats.FuncsSkipped || cats["skip"] == 0 {
+		t.Errorf("%d skip spans, Stats.FuncsSkipped = %d", cats["skip"], res.Stats.FuncsSkipped)
+	}
+	if int64(cats["engine"]) != res.Stats.FuncsAnalyzed {
+		t.Errorf("%d engine spans, Stats.FuncsAnalyzed = %d", cats["engine"], res.Stats.FuncsAnalyzed)
+	}
+	for _, sp := range spans {
+		if sp.Cat == "skip" && (sp.Dur != 0 || !strings.HasPrefix(spans[sp.Parent].Name, "wave ")) {
+			t.Errorf("skip span %q: dur %d parent %q, want a zero-duration mark under a wave",
+				sp.Name, sp.Dur, spans[sp.Parent].Name)
+		}
 	}
 }

@@ -124,8 +124,8 @@ type Config struct {
 	// shared between runs with an identical Config.
 	FuncStore FuncStore
 
-	// Telemetry, when non-nil, collects per-function metrics, trace
-	// spans and histograms for the run; the aggregated snapshot is
+	// Telemetry, when non-nil, collects per-function counters, pass
+	// wall times and histograms for the run; the aggregated snapshot is
 	// attached to Result.Telemetry. A Recorder serves one analysis run
 	// at a time (the driver resets it via Begin). nil — the default —
 	// disables collection at zero cost on the engine hot path.
@@ -134,7 +134,9 @@ type Config struct {
 	// Trace, when non-nil, receives the run's request-scoped span tree:
 	// a "callgraph" span for condensation, one span per fixpoint pass
 	// and wave, one per engine run (on the worker's lane) and one per
-	// store splice, all parented under TraceParent. Unlike Telemetry,
+	// store splice, zero-duration "skip" marks under the wave that
+	// skipped a function, and one zero-duration "diag" mark per
+	// diagnostic, all parented under TraceParent. Unlike Telemetry,
 	// spans carry only wall-clock timings and labels — nothing reads
 	// them back, so tracing can never perturb analysis results. nil —
 	// the default — disables tracing at zero cost on the hot path.

@@ -227,8 +227,9 @@ func WithConfig(cfg corevrp.Config) Option {
 }
 
 // TelemetrySnapshot is the aggregated instrumentation record of one
-// analysis run: per-function counters, pass timings, histograms and trace
-// events. See Analysis.Telemetry and internal/telemetry.
+// analysis run: per-function counters, pass timings, histograms and the
+// quality digest. The run's timeline is the span tree of WithTrace. See
+// Analysis.Telemetry and internal/telemetry.
 type TelemetrySnapshot = telemetry.Snapshot
 
 // TraceSpanID names one span within a Trace; see telemetry.SpanID.
@@ -245,7 +246,8 @@ const NoTraceSpan = telemetry.NoSpan
 // WithTrace attaches a request-scoped span tree to the analysis: the
 // driver records callgraph condensation, every fixpoint pass and wave,
 // every per-function engine run (on its worker's lane) and every store
-// splice as spans under parent. Unlike WithTelemetry the spans carry
+// splice as spans under parent, plus zero-duration marks for skipped
+// functions and diagnostics. Unlike WithTelemetry the spans carry
 // only wall-clock timings and labels — nothing reads them back, so
 // tracing never perturbs analysis results — and a nil tr is the
 // disabled state at zero hot-path cost.
@@ -258,8 +260,8 @@ func WithTrace(tr *RequestTrace, parent TraceSpanID) Option {
 
 // WithTelemetry enables instrumentation for the run: engine counters
 // (worklist pushes and peaks, φ-merges, widenings, assertion
-// applications), driver spans (passes, waves, engine runs, skips), and
-// range histograms. The aggregated snapshot is available from
+// applications), driver counters (engine runs, skips, degraded runs per
+// function; wall time per pass), and range histograms. The aggregated snapshot is available from
 // Analysis.Telemetry; everything in it except wall-clock durations is
 // bit-identical across worker counts. Disabled (the default) it costs
 // nothing on the engine hot path.
