@@ -1,6 +1,7 @@
 package vrange
 
 import (
+	"fmt"
 	"testing"
 
 	"vrp/internal/ir"
@@ -21,10 +22,25 @@ func BenchmarkApplyAdd(b *testing.B) {
 	}
 }
 
+// BenchmarkCompareNumeric measures `x < y` over two overlapping numeric
+// ranges of w values each at stride s (fracLtNum's exact count over x's
+// values), plus the count over y's values taken when x has more than
+// ExactPairLimit values.
 func BenchmarkCompareNumeric(b *testing.B) {
+	for _, w := range []int64{16, 1000, 4096} {
+		for _, s := range []int64{1, 7} {
+			x := FromRanges(numRange(1, 0, (w-1)*s, s))
+			y := FromRanges(numRange(1, w/2*s, (w/2+w-1)*s, s))
+			b.Run(fmt.Sprintf("w=%d/s=%d", w, s), func(b *testing.B) { benchCompareLt(b, x, y) })
+		}
+	}
+	x := FromRanges(numRange(1, 0, 99_999, 1))
+	y := FromRanges(numRange(1, 50_000, 50_000+999*7, 7))
+	b.Run("wide-x/w=1000/s=7", func(b *testing.B) { benchCompareLt(b, x, y) })
+}
+
+func benchCompareLt(b *testing.B, x, y Value) {
 	c := calc()
-	x := FromRanges(numRange(1, 0, 999, 1))
-	y := FromRanges(numRange(1, 500, 1500, 1))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

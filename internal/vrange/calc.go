@@ -20,8 +20,10 @@ type Config struct {
 	// variable when a probability needs a concrete count, e.g. P(i<n) for
 	// i ∈ [0:n:1] evaluates to T/(T+1).
 	AssumedVarValue int64
-	// ExactPairLimit bounds exact enumeration in comparisons; larger
-	// ranges fall back to a continuous approximation.
+	// ExactPairLimit chooses how a comparison of two numeric ranges is
+	// evaluated: when the smaller range has at most this many values the
+	// satisfying pairs are counted exactly (in closed form, so the limit
+	// is not a cost budget); otherwise a continuous approximation is used.
 	ExactPairLimit int64
 	// DisableIntern turns off the hash-cons table and transfer-function
 	// memoization (intern.go), restoring the allocate-per-result behavior.

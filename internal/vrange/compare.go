@@ -193,32 +193,75 @@ func (c *Calc) fracLt(x, y Range) (float64, bool) {
 	return 0, false
 }
 
-// fracLtNum handles numeric multi-value ranges: exact enumeration when the
-// smaller range is within the configured budget, continuous approximation
-// otherwise.
+// fracLtNum handles numeric multi-value ranges: an exact pair count when
+// the smaller range is within ExactPairLimit, continuous approximation
+// otherwise. The count comes from the closed form when its guard holds
+// and from enumeration otherwise; both give the same bits.
 func (c *Calc) fracLtNum(x, y Range) float64 {
 	nx, _ := x.Count()
 	ny, _ := y.Count()
-	if nx <= c.Cfg.ExactPairLimit {
-		sum := 0.0
-		for v, i := x.Lo.Const, int64(0); i < nx; v, i = v+x.Stride, i+1 {
-			sat, _ := c.satBelow(y, Num(v), false) // y <= v
-			sum += float64(ny) - sat               // y > v  ⇔  v < y
+	if nx <= c.Cfg.ExactPairLimit || ny <= c.Cfg.ExactPairLimit {
+		walkX := nx <= c.Cfg.ExactPairLimit
+		if f, ok := fracLtClosed(x, y, nx, ny, walkX); ok {
+			return f
 		}
-		return clamp01(sum / (float64(nx) * float64(ny)))
-	}
-	if ny <= c.Cfg.ExactPairLimit {
-		sum := 0.0
-		for v, i := y.Lo.Const, int64(0); i < ny; v, i = v+y.Stride, i+1 {
-			sat, _ := c.satBelow(x, Num(v), true) // x < v
-			sum += sat
-		}
-		return clamp01(sum / (float64(nx) * float64(ny)))
+		return c.fracLtEnum(x, y, nx, ny, walkX)
 	}
 	// Continuous uniform approximation on [a1,b1]×[a2,b2].
 	a1, b1 := float64(x.Lo.Const), float64(x.Hi.Const)
 	a2, b2 := float64(y.Lo.Const), float64(y.Hi.Const)
 	return clamp01(probLessUniform(a1, b1, a2, b2))
+}
+
+// fracLtEnum counts the pairs by walking every value of x (walkX) or of
+// y, asking satBelow how many values of the other range lie on the
+// satisfying side. It is the oracle for fracLtClosed and the fallback
+// outside its guard.
+func (c *Calc) fracLtEnum(x, y Range, nx, ny int64, walkX bool) float64 {
+	sum := 0.0
+	if walkX {
+		for v, i := x.Lo.Const, int64(0); i < nx; v, i = v+x.Stride, i+1 {
+			sat, _ := c.satBelow(y, Num(v), false) // y <= v
+			sum += float64(ny) - sat               // y > v  ⇔  v < y
+		}
+	} else {
+		for v, i := y.Lo.Const, int64(0); i < ny; v, i = v+y.Stride, i+1 {
+			sat, _ := c.satBelow(x, Num(v), true) // x < v
+			sum += sat
+		}
+	}
+	return clamp01(sum / (float64(nx) * float64(ny)))
+}
+
+// exactLtBound is the closed form's operand guard: with every bound and
+// stride within ±2^40, all intermediate products stay far below 2^63.
+const exactLtBound = 1 << 40
+
+// fracLtClosed computes fracLtEnum's sum as an integer in O(log n).
+// Walking x, value v = x.Lo + i·x.Stride contributes ny minus the
+// satBelow count ⌈(v+1-y.Lo)/s_y⌉ clamped to [0, ny]; walking y, value v
+// contributes ⌈(v-x.Lo)/s_x⌉ clamped to [0, nx]. Both are clampCeilSum.
+// Each term is then an exact integer, and the guard keeps every partial
+// sum at most 2^53, so the enumeration's float sum is exactly
+// float64(the integer sum) and the two results share every bit. ok is
+// false outside the guard, or for a negative stride (which the walk steps
+// by, but Count treats as 1).
+func fracLtClosed(x, y Range, nx, ny int64, walkX bool) (f float64, ok bool) {
+	for _, v := range [...]int64{x.Lo.Const, x.Hi.Const, y.Lo.Const, y.Hi.Const, x.Stride, y.Stride} {
+		if v < -exactLtBound || v > exactLtBound {
+			return 0, false
+		}
+	}
+	if x.Stride < 0 || y.Stride < 0 || nx < 1 || ny < 1 || nx > (1<<53)/ny {
+		return 0, false
+	}
+	var sum int64
+	if walkX {
+		sum = nx*ny - clampCeilSum(nx, x.Stride, x.Lo.Const+1-y.Lo.Const, max(y.Stride, 1), ny)
+	} else {
+		sum = clampCeilSum(ny, y.Stride, y.Lo.Const-x.Lo.Const, max(x.Stride, 1), nx)
+	}
+	return clamp01(float64(sum) / (float64(nx) * float64(ny))), true
 }
 
 // probLessUniform is P(X<Y) for independent X~U[a1,b1], Y~U[a2,b2],
