@@ -223,37 +223,11 @@ func benchVariant(b *testing.B, noAssert bool, opts ...vrp.Option) {
 	b.Helper()
 	var meanErr float64
 	for i := 0; i < b.N; i++ {
-		var sum float64
-		var n int
-		for _, cp := range corpus.All() {
-			p, err := vrp.CompileWith(cp.Name+".mini", cp.Source, vrp.CompileOptions{NoAssertions: noAssert})
-			if err != nil {
-				b.Fatal(err)
-			}
-			prof, err := p.Run(cp.Ref)
-			if err != nil {
-				b.Fatal(err)
-			}
-			a, err := p.Analyze(opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var progErr float64
-			var nBr int
-			for _, pr := range a.Predictions() {
-				actual, ran := prof.BranchProb(pr.Fn, pr.Branch)
-				if !ran {
-					continue
-				}
-				progErr += 100 * math.Abs(pr.Prob-actual)
-				nBr++
-			}
-			if nBr > 0 {
-				sum += progErr / float64(nBr)
-				n++
-			}
+		evals, err := bench.EvalAll(bench.Variant{NoAssertions: noAssert, Opts: opts})
+		if err != nil {
+			b.Fatal(err)
 		}
-		meanErr = sum / float64(n)
+		meanErr = bench.MeanError(evals, false)[bench.PredVRP]
 	}
 	b.ReportMetric(meanErr, "mean-err-pp")
 }

@@ -13,9 +13,8 @@
 //	vrpbench -apps      §6 applications
 //	vrpbench -ablations DESIGN.md §5 ablation table
 //	vrpbench -bench     machine-readable driver benchmark (BENCH_driver.json)
-//	vrpbench -accuracy  per-predictor miss rates and errors (BENCH_accuracy.json)
 //	vrpbench -scale     mega-scale pipeline benchmark over generated 10k/100k/1M-instruction tiers (BENCH_scale.json)
-//	vrpbench -quality   prediction-quality evaluation vs the interpreter (BENCH_quality.json)
+//	vrpbench -quality   per-suite prediction quality and per-predictor errors vs the interpreter (BENCH_quality.json)
 package main
 
 import (
@@ -43,9 +42,7 @@ func main() {
 		benchIter   = flag.Int("benchiter", 5, "timing iterations per -bench point")
 		latticeRun  = flag.Bool("lattice", false, "benchmark interning on vs off, emit JSON")
 		latticeOut  = flag.String("latticeout", "BENCH_lattice.json", "output path for -lattice")
-		latticeGate = flag.Bool("gate", false, "with -lattice, exit nonzero if interning is slower than no-interning on any point; with -scale, exit nonzero if the 100k tier's ns/instr exceeds 2x the 10k tier's; with -quality, exit nonzero if agreement or certain fraction regresses below the committed baseline")
-		accuracy    = flag.Bool("accuracy", false, "score every predictor's miss rate and mean error, emit JSON")
-		accOut      = flag.String("accuracyout", "BENCH_accuracy.json", "output path for -accuracy")
+		latticeGate = flag.Bool("gate", false, "with -lattice, exit nonzero if interning is slower than no-interning on any point; with -scale, exit nonzero if the 100k tier's ns/instr exceeds 2x the 10k tier's; with -quality, exit nonzero if a suite regresses below the committed baseline or vrp's weighted error on the corpus is not below ball-larus's")
 		scaleRun    = flag.Bool("scale", false, "run the mega-scale pipeline benchmark over the generated 10k/100k/1M tiers, emit JSON")
 		scaleOut    = flag.String("scaleout", "BENCH_scale.json", "output path for -scale")
 		scaleMax    = flag.String("scalemax", "", "with -scale, largest tier to run (e.g. 100k for CI smoke; empty = all)")
@@ -81,12 +78,11 @@ func main() {
 		err = runScaleBench(w, *scaleOut, *scaleMax, *latticeGate)
 	case *qualityRun:
 		err = runQuality(w, *qualityOut, *qualityBase, *latticeGate, *maxEvals)
-	case *accuracy:
-		err = runAccuracy(w, *accOut)
 	case *summary:
-		err = bench.PrintSummary(w)
-		if err == nil {
-			err = bench.PrintHitRates(w)
+		var evals []*bench.ProgramEval
+		if evals, err = bench.EvalAll(bench.Variant{}); err == nil {
+			bench.PrintSummary(w, evals)
+			bench.PrintHitRates(w, evals)
 		}
 	case *apps:
 		err = bench.PrintApplications(w)
@@ -96,35 +92,26 @@ func main() {
 		switch *fig {
 		case 4:
 			err = printFig4(w)
-		case 5:
-			err = bench.PrintLinearity(w, false)
-		case 6:
-			err = bench.PrintLinearity(w, true)
-		case 7:
-			err = bench.PrintFigure(w, corpus.IntSuite)
-		case 8:
-			err = bench.PrintFigure(w, corpus.FPSuite)
+		case 5, 6:
+			var evals []*bench.ProgramEval
+			if evals, err = bench.EvalAll(bench.Variant{}); err == nil {
+				err = bench.PrintLinearity(w, evals, *fig == 6)
+			}
+		case 7, 8:
+			s := corpus.IntSuite
+			if *fig == 8 {
+				s = corpus.FPSuite
+			}
+			var evals []*bench.ProgramEval
+			if evals, err = bench.EvalSuite(s); err == nil {
+				bench.PrintFigure(w, evals, s)
+			}
 		default:
 			fmt.Fprintf(os.Stderr, "vrpbench: unknown figure %d\n", *fig)
 			os.Exit(2)
 		}
 	default:
-		steps := []func() error{
-			func() error { return printFig4(w) },
-			func() error { return bench.PrintLinearity(w, false) },
-			func() error { return bench.PrintLinearity(w, true) },
-			func() error { return bench.PrintFigure(w, corpus.IntSuite) },
-			func() error { return bench.PrintFigure(w, corpus.FPSuite) },
-			func() error { return bench.PrintSummary(w) },
-			func() error { return bench.PrintHitRates(w) },
-			func() error { return bench.PrintApplications(w) },
-			func() error { return bench.PrintAblations(w) },
-		}
-		for _, s := range steps {
-			if err = s(); err != nil {
-				break
-			}
-		}
+		err = printAll(w)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vrpbench:", err)
@@ -321,25 +308,29 @@ func runScaleBench(w *os.File, outPath, maxTier string, gate bool) error {
 	return nil
 }
 
-// runAccuracy emits BENCH_accuracy.json (schema in EXPERIMENTS.md):
-// per-suite, per-predictor taken/not-taken miss rates and mean absolute
-// probability errors, so prediction *quality* is a tracked artifact
-// like driver and lattice perf.
-func runAccuracy(w *os.File, outPath string) error {
-	rep, err := bench.Accuracy()
+// printAll reproduces every table and figure, evaluating the corpus once
+// for all of the evaluation printers.
+func printAll(w *os.File) error {
+	if err := printFig4(w); err != nil {
+		return err
+	}
+	evals, err := bench.EvalAll(bench.Variant{})
 	if err != nil {
 		return err
 	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
+	for _, subOps := range []bool{false, true} {
+		if err := bench.PrintLinearity(w, evals, subOps); err != nil {
+			return err
+		}
+	}
+	bench.PrintFigure(w, evals, corpus.IntSuite)
+	bench.PrintFigure(w, evals, corpus.FPSuite)
+	bench.PrintSummary(w, evals)
+	bench.PrintHitRates(w, evals)
+	if err := bench.PrintApplications(w); err != nil {
 		return err
 	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	bench.PrintAccuracy(w, rep)
-	fmt.Fprintf(w, "wrote %s\n", outPath)
-	return nil
+	return bench.PrintAblations(w)
 }
 
 // printFig4 reproduces the paper's worked example (Figures 2-4): the value

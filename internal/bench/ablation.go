@@ -6,19 +6,8 @@ import (
 
 	"vrp"
 	"vrp/internal/corpus"
-	"vrp/internal/ir"
 	corevrp "vrp/internal/vrp"
 )
-
-// Variant is one analysis configuration for the ablation studies of
-// DESIGN.md §5 (range budget, derivation, assertions, symbolic ranges,
-// interprocedural propagation, worklist order).
-type Variant struct {
-	Name         string
-	NoAssertions bool // requires recompilation
-	Clone        bool // apply procedure cloning before analysis
-	Opts         []vrp.Option
-}
 
 // Variants returns the standard ablation set.
 func Variants() []Variant {
@@ -52,72 +41,53 @@ type AblationRow struct {
 	SubOps     int64
 }
 
-// RunAblations scores every variant over the whole corpus.
+// RunAblations scores every variant over the whole corpus: evaluate with
+// the variant's options, then take vrp's mean error and range share.
+// Variants that compile alike share one interpreter pass per program.
 func RunAblations() ([]AblationRow, error) {
-	var rows []AblationRow
-	for _, v := range Variants() {
-		row := AblationRow{Name: v.Name}
-		var sumUnw, sumW, share float64
-		var nProgs int
-		for _, cp := range corpus.All() {
-			p, err := vrp.CompileWith(cp.Name+".mini", cp.Source, vrp.CompileOptions{NoAssertions: v.NoAssertions})
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", v.Name, cp.Name, err)
-			}
-			if v.Clone {
-				p.ApplyProcedureCloning()
-			}
-			refProf, err := p.Run(cp.Ref)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", v.Name, cp.Name, err)
-			}
-			a, err := p.Analyze(v.Opts...)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", v.Name, cp.Name, err)
-			}
-			pm := predictionMap(a)
-
-			var unw, w, totalW float64
-			var nBr, nRange int
-			for _, f := range p.IR.Funcs {
-				for _, b := range f.Blocks {
-					t := b.Terminator()
-					if t == nil || t.Op != ir.OpBr {
-						continue
-					}
-					actual, ran := refProf.BranchProb(f, t)
-					if !ran {
-						continue
-					}
-					ec := refProf.EdgeCount[f]
-					weight := float64(ec[b.Succs[0].ID] + ec[b.Succs[1].ID])
-					pi := pm[t]
-					e := 100 * abs(pi.prob-actual)
-					unw += e
-					w += weight * e
-					totalW += weight
-					nBr++
-					if pi.source == "range" {
-						nRange++
-					}
+	vs := Variants()
+	evals := make([][]*ProgramEval, len(vs))
+	for _, cp := range corpus.All() {
+		s := CorpusSubject(cp)
+		runs := map[[2]bool]*run{}
+		for i, v := range vs {
+			key := [2]bool{v.NoAssertions, v.Clone}
+			r := runs[key]
+			if r == nil {
+				var err error
+				if r, err = execute(s, v); err != nil {
+					return nil, fmt.Errorf("%s/%w", v.Name, err)
 				}
+				runs[key] = r
 			}
-			if nBr == 0 {
+			ev, err := r.eval(v.Opts)
+			if err != nil {
+				return nil, fmt.Errorf("%s/%w", v.Name, err)
+			}
+			evals[i] = append(evals[i], ev)
+		}
+	}
+	rows := make([]AblationRow, len(vs))
+	for i, v := range vs {
+		row := AblationRow{
+			Name:       v.Name,
+			MeanErrUnw: MeanError(evals[i], false)[PredVRP],
+			MeanErrW:   MeanError(evals[i], true)[PredVRP],
+		}
+		nProgs := 0
+		for _, ev := range evals[i] {
+			if len(ev.Records) == 0 {
 				continue
 			}
 			nProgs++
-			sumUnw += unw / float64(nBr)
-			sumW += w / totalW
-			share += float64(nRange) / float64(nBr)
-			row.ExprEvals += a.Result.Stats.ExprEvals + a.Result.Stats.PhiEvals
-			row.SubOps += a.Result.Stats.SubOps
+			row.RangeShare += ev.VRPShare
+			row.ExprEvals += ev.Stats.ExprEvals + ev.Stats.PhiEvals
+			row.SubOps += ev.Stats.SubOps
 		}
 		if nProgs > 0 {
-			row.MeanErrUnw = sumUnw / float64(nProgs)
-			row.MeanErrW = sumW / float64(nProgs)
-			row.RangeShare = share / float64(nProgs)
+			row.RangeShare /= float64(nProgs)
 		}
-		rows = append(rows, row)
+		rows[i] = row
 	}
 	return rows, nil
 }

@@ -14,6 +14,12 @@
 //   - distributions are reported unweighted (each executed branch counts
 //     once) and weighted by execution count;
 //   - each benchmark is weighted equally within its suite.
+//
+// Every experiment goes through one harness: EvalProgram compiles a
+// subject, interprets it once per input, analyzes it, and fills one
+// BranchRecord per executed branch from one predictor list. Figures,
+// summaries, ablations and BENCH_quality.json are all computed from those
+// records.
 package bench
 
 import (
@@ -23,6 +29,7 @@ import (
 	"vrp"
 	"vrp/internal/corpus"
 	"vrp/internal/heuristics"
+	"vrp/internal/interp"
 	"vrp/internal/ir"
 	corevrp "vrp/internal/vrp"
 )
@@ -40,6 +47,12 @@ const (
 // Predictors lists every predictor in presentation order.
 func Predictors() []string {
 	return []string{PredProfile, PredVRP, PredVRPNumeric, PredBallLarus, Pred9050, PredRandom}
+}
+
+// predictor is one branch-probability source under evaluation.
+type predictor struct {
+	Name string
+	Prob func(f *ir.Func, br *ir.Instr) float64
 }
 
 // BranchRecord is one conditional branch's scoring row.
@@ -61,88 +74,160 @@ type ProgramEval struct {
 	Stats    corevrp.Stats // engine instrumentation (Figures 5–6 y-axes)
 	RefSteps int64
 	VRPShare float64 // fraction of executed branches predicted from ranges
+
+	Quality *vrp.QualitySnapshot // the vrp analysis's quality digest
 }
 
-// EvalProgram compiles and scores one benchmark under every predictor.
-func EvalProgram(cp *corpus.Program) (*ProgramEval, error) {
-	p, err := vrp.Compile(cp.Name+".mini", cp.Source)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", cp.Name, err)
-	}
+// Subject is one evaluation unit: a program with its inputs.
+type Subject struct {
+	Name   string
+	Suite  corpus.Suite
+	Source string
+	Ref    []int64 // scored input: its profile is the ground truth
+	// Train is the profiling input. nil means no training run, and so
+	// no profiling predictor.
+	Train    []int64
+	MaxSteps int64 // interpreter step budget per run; 0 = interpreter default
+}
 
-	refProf, err := p.Run(cp.Ref)
-	if err != nil {
-		return nil, fmt.Errorf("%s ref run: %w", cp.Name, err)
+// CorpusSubject is a corpus program with its train and ref inputs.
+func CorpusSubject(cp *corpus.Program) Subject {
+	train := cp.Train
+	if train == nil {
+		train = []int64{} // input-less programs still get a training run
 	}
-	trainProf, err := p.Run(cp.Train)
-	if err != nil {
-		return nil, fmt.Errorf("%s train run: %w", cp.Name, err)
-	}
+	return Subject{Name: cp.Name, Suite: cp.Suite, Source: cp.Source, Ref: cp.Ref, Train: train}
+}
 
-	full, err := p.Analyze()
-	if err != nil {
-		return nil, fmt.Errorf("%s vrp: %w", cp.Name, err)
-	}
-	numeric, err := p.Analyze(vrp.NumericOnly())
-	if err != nil {
-		return nil, fmt.Errorf("%s vrp-numeric: %w", cp.Name, err)
-	}
-	bl := heuristics.NewBallLarus(p.IR)
+// Variant is one analysis configuration: the default (zero value), or
+// one of the ablations of DESIGN.md §5 (range budget, derivation,
+// assertions, symbolic ranges, interprocedural propagation, worklist
+// order).
+type Variant struct {
+	Name         string
+	NoAssertions bool // requires recompilation
+	Clone        bool // apply procedure cloning before analysis
+	Opts         []vrp.Option
+}
 
-	fullPred := predictionMap(full)
-	numPred := predictionMap(numeric)
+// EvalProgram compiles one subject under v, interprets it on its inputs
+// and scores it under every predictor.
+func EvalProgram(s Subject, v Variant) (*ProgramEval, error) {
+	r, err := execute(s, v)
+	if err != nil {
+		return nil, err
+	}
+	return r.eval(v.Opts)
+}
+
+// run is a subject compiled under a variant's compile options and
+// interpreted once on each of its inputs. Variants that compile alike
+// can share it.
+type run struct {
+	s          Subject
+	p          *vrp.Program
+	ref, train *interp.Profile
+}
+
+func execute(s Subject, v Variant) (*run, error) {
+	p, err := vrp.CompileWith(s.Name+".mini", s.Source, vrp.CompileOptions{NoAssertions: v.NoAssertions})
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", s.Name, err)
+	}
+	if v.Clone {
+		p.ApplyProcedureCloning()
+	}
+	r := &run{s: s, p: p}
+	limits := interp.Options{MaxSteps: s.MaxSteps}
+	if r.ref, err = p.RunWith(s.Ref, limits); err != nil {
+		return nil, fmt.Errorf("%s ref run: %w", s.Name, err)
+	}
+	if s.Train != nil {
+		if r.train, err = p.RunWith(s.Train, limits); err != nil {
+			return nil, fmt.Errorf("%s train run: %w", s.Name, err)
+		}
+	}
+	return r, nil
+}
+
+// eval analyzes the run's program under opts and fills one record per
+// branch executed on the ref input. Analyses use the sequential schedule;
+// outputs are identical at any worker count.
+func (r *run) eval(opts []vrp.Option) (*ProgramEval, error) {
+	p, name := r.p, r.s.Name
+	full, err := p.Analyze(append([]vrp.Option{vrp.WithWorkers(1), vrp.WithTelemetry()}, opts...)...)
+	if err != nil {
+		return nil, fmt.Errorf("%s vrp: %w", name, err)
+	}
+	numeric, err := p.Analyze(append(append([]vrp.Option{vrp.WithWorkers(1)}, opts...), vrp.NumericOnly())...)
+	if err != nil {
+		return nil, fmt.Errorf("%s vrp-numeric: %w", name, err)
+	}
+	vrpPred := predictionMap(full)
+	preds := r.predictors(vrpPred, predictionMap(numeric))
 
 	ev := &ProgramEval{
-		Name:     cp.Name,
-		Suite:    cp.Suite,
+		Name:     name,
+		Suite:    r.s.Suite,
 		Instrs:   p.IR.NumInstrs(),
 		Stats:    full.Result.Stats,
-		RefSteps: refProf.Steps,
+		RefSteps: r.ref.Steps,
+		Quality:  full.Quality(),
 	}
-
-	rangePredicted, executed := 0, 0
+	rangePredicted := 0
 	for _, f := range p.IR.Funcs {
 		for _, b := range f.Blocks {
 			t := b.Terminator()
 			if t == nil || t.Op != ir.OpBr {
 				continue
 			}
-			actual, ran := refProf.BranchProb(f, t)
+			actual, ran := r.ref.BranchProb(f, t)
 			if !ran {
 				continue // never executed on the reference input
 			}
-			executed++
-			ec := refProf.EdgeCount[f]
-			weight := float64(ec[b.Succs[0].ID] + ec[b.Succs[1].ID])
-
+			ec := r.ref.EdgeCount[f]
 			rec := BranchRecord{
 				Func:   f.Name,
 				Actual: actual,
-				Weight: weight,
-				Pred:   map[string]float64{},
+				Weight: float64(ec[b.Succs[0].ID] + ec[b.Succs[1].ID]),
+				Pred:   make(map[string]float64, len(preds)),
+				Source: vrpPred[t].source,
 			}
-			if tp, ok := trainProf.BranchProb(f, t); ok {
-				rec.Pred[PredProfile] = tp
-			} else {
-				rec.Pred[PredProfile] = 0.5 // never seen during training
+			for _, pr := range preds {
+				rec.Pred[pr.Name] = pr.Prob(f, t)
 			}
-			fp := fullPred[t]
-			rec.Pred[PredVRP] = fp.prob
-			rec.Source = fp.source
-			if fp.source == "range" {
+			if rec.Source == "range" {
 				rangePredicted++
 			}
-			rec.Pred[PredVRPNumeric] = numPred[t].prob
-			rec.Pred[PredBallLarus] = bl.Prob(f, t)
-			rec.Pred[Pred9050] = heuristics.NinetyFifty(f, t)
-			rec.Pred[PredRandom] = heuristics.Random(f, t)
 			ev.Records = append(ev.Records, rec)
 		}
 	}
-	if executed > 0 {
-		ev.VRPShare = float64(rangePredicted) / float64(executed)
+	if len(ev.Records) > 0 {
+		ev.VRPShare = float64(rangePredicted) / float64(len(ev.Records))
 	}
 	return ev, nil
+}
+
+// predictors is the run's predictor list in presentation order:
+// profiling (only with a training run), vrp, vrp-numeric, ball-larus,
+// 90-50 and random.
+func (r *run) predictors(full, numeric map[*ir.Instr]predInfo) []predictor {
+	var ps []predictor
+	if train := r.train; train != nil {
+		ps = append(ps, predictor{PredProfile, func(f *ir.Func, br *ir.Instr) float64 {
+			if tp, ok := train.BranchProb(f, br); ok {
+				return tp
+			}
+			return 0.5 // never seen during training
+		}})
+	}
+	return append(ps,
+		predictor{PredVRP, func(_ *ir.Func, br *ir.Instr) float64 { return full[br].prob }},
+		predictor{PredVRPNumeric, func(_ *ir.Func, br *ir.Instr) float64 { return numeric[br].prob }},
+		predictor{PredBallLarus, heuristics.NewBallLarus(r.p.IR).Prob},
+		predictor{Pred9050, heuristics.NinetyFifty},
+		predictor{PredRandom, heuristics.Random},
+	)
 }
 
 type predInfo struct {
@@ -158,11 +243,11 @@ func predictionMap(a *vrp.Analysis) map[*ir.Instr]predInfo {
 	return m
 }
 
-// EvalSuite evaluates every program of a suite.
-func EvalSuite(s corpus.Suite) ([]*ProgramEval, error) {
-	var out []*ProgramEval
-	for _, cp := range corpus.BySuite(s) {
-		ev, err := EvalProgram(cp)
+// evalSubjects evaluates each subject under v.
+func evalSubjects(subjects []Subject, v Variant) ([]*ProgramEval, error) {
+	out := make([]*ProgramEval, 0, len(subjects))
+	for _, s := range subjects {
+		ev, err := EvalProgram(s, v)
 		if err != nil {
 			return nil, err
 		}
@@ -171,112 +256,33 @@ func EvalSuite(s corpus.Suite) ([]*ProgramEval, error) {
 	return out, nil
 }
 
-// EvalAll evaluates the whole corpus.
-func EvalAll() ([]*ProgramEval, error) {
-	var out []*ProgramEval
-	for _, cp := range corpus.All() {
-		ev, err := EvalProgram(cp)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ev)
-	}
-	return out, nil
-}
-
-// ------------------------------------------------------- error curves
-
-// Thresholds are the x-axis of Figures 7–8: error in percentage points.
-var Thresholds = []float64{1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31, 33, 35, 37, 39}
-
-// Curve is the fraction of branches predicted within each threshold.
-type Curve struct {
-	Predictor string
-	Pct       []float64 // per Thresholds entry, in percent (0-100)
-}
-
-// ErrorCurves computes the cumulative error distribution per predictor.
-// With weighted=true each branch counts proportionally to its execution
-// count; each program contributes equally either way.
-func ErrorCurves(evals []*ProgramEval, weighted bool) []Curve {
-	curves := make([]Curve, 0, len(Predictors()))
-	for _, pred := range Predictors() {
-		pct := make([]float64, len(Thresholds))
-		nProgs := 0
-		for _, ev := range evals {
-			if len(ev.Records) == 0 {
-				continue
-			}
-			nProgs++
-			totalW := 0.0
-			within := make([]float64, len(Thresholds))
-			for _, rec := range ev.Records {
-				w := 1.0
-				if weighted {
-					w = rec.Weight
-				}
-				totalW += w
-				errPts := 100 * abs(rec.Pred[pred]-rec.Actual)
-				for ti, th := range Thresholds {
-					if errPts < th {
-						within[ti] += w
-					}
-				}
-			}
-			if totalW == 0 {
-				nProgs--
-				continue
-			}
-			for ti := range Thresholds {
-				pct[ti] += 100 * within[ti] / totalW
-			}
-		}
-		if nProgs > 0 {
-			for ti := range pct {
-				pct[ti] /= float64(nProgs)
-			}
-		}
-		curves = append(curves, Curve{Predictor: pred, Pct: pct})
-	}
-	return curves
-}
-
-// MeanError returns each predictor's average absolute error in percentage
-// points (program-equal weighting), a scalar summary of the curves.
-func MeanError(evals []*ProgramEval, weighted bool) map[string]float64 {
-	out := map[string]float64{}
-	for _, pred := range Predictors() {
-		sum, nProgs := 0.0, 0
-		for _, ev := range evals {
-			if len(ev.Records) == 0 {
-				continue
-			}
-			totalW, acc := 0.0, 0.0
-			for _, rec := range ev.Records {
-				w := 1.0
-				if weighted {
-					w = rec.Weight
-				}
-				totalW += w
-				acc += w * 100 * abs(rec.Pred[pred]-rec.Actual)
-			}
-			if totalW > 0 {
-				sum += acc / totalW
-				nProgs++
-			}
-		}
-		if nProgs > 0 {
-			out[pred] = sum / float64(nProgs)
-		}
+func corpusSubjects(cps []*corpus.Program) []Subject {
+	out := make([]Subject, len(cps))
+	for i, cp := range cps {
+		out[i] = CorpusSubject(cp)
 	}
 	return out
 }
 
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
+// EvalSuite evaluates every program of a suite under the default analysis.
+func EvalSuite(s corpus.Suite) ([]*ProgramEval, error) {
+	return evalSubjects(corpusSubjects(corpus.BySuite(s)), Variant{})
+}
+
+// EvalAll evaluates the whole corpus under v.
+func EvalAll(v Variant) ([]*ProgramEval, error) {
+	return evalSubjects(corpusSubjects(corpus.All()), v)
+}
+
+// ofSuite returns the evals that belong to corpus suite s.
+func ofSuite(evals []*ProgramEval, s corpus.Suite) []*ProgramEval {
+	var out []*ProgramEval
+	for _, ev := range evals {
+		if ev.Suite == s {
+			out = append(out, ev)
+		}
 	}
-	return x
+	return out
 }
 
 // ------------------------------------------------------- linearity fits

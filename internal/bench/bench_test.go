@@ -8,78 +8,6 @@ import (
 	"vrp/internal/corpus"
 )
 
-func TestErrorCurvesMath(t *testing.T) {
-	// Two programs, two branches each, hand-computed distributions.
-	evals := []*ProgramEval{
-		{
-			Name: "p1",
-			Records: []BranchRecord{
-				{Actual: 0.5, Weight: 10, Pred: map[string]float64{PredVRP: 0.5}}, // err 0
-				{Actual: 0.5, Weight: 90, Pred: map[string]float64{PredVRP: 0.4}}, // err 10
-			},
-		},
-		{
-			Name: "p2",
-			Records: []BranchRecord{
-				{Actual: 1.0, Weight: 50, Pred: map[string]float64{PredVRP: 0.7}}, // err 30
-				{Actual: 0.0, Weight: 50, Pred: map[string]float64{PredVRP: 0.0}}, // err 0
-			},
-		},
-	}
-	curves := ErrorCurves(evals, false)
-	var vrpCurve *Curve
-	for i := range curves {
-		if curves[i].Predictor == PredVRP {
-			vrpCurve = &curves[i]
-		}
-	}
-	if vrpCurve == nil {
-		t.Fatal("no vrp curve")
-	}
-	// Threshold <5: p1 has 1/2 within, p2 has 1/2 within → mean 50%.
-	if got := vrpCurve.Pct[2]; math.Abs(got-50) > 1e-9 { // Thresholds[2] == 5
-		t.Errorf("<5pp = %f, want 50", got)
-	}
-	// Threshold <11: p1 2/2, p2 1/2 → 75%.
-	if got := vrpCurve.Pct[5]; math.Abs(got-75) > 1e-9 { // Thresholds[5] == 11
-		t.Errorf("<11pp = %f, want 75", got)
-	}
-	// Threshold <31: everything → 100%.
-	if got := vrpCurve.Pct[15]; math.Abs(got-100) > 1e-9 {
-		t.Errorf("<31pp = %f, want 100", got)
-	}
-
-	// Weighted: p1 within<5 = 10/100; p2 = 50/100 → mean 30%.
-	wcurves := ErrorCurves(evals, true)
-	for i := range wcurves {
-		if wcurves[i].Predictor == PredVRP {
-			if got := wcurves[i].Pct[2]; math.Abs(got-30) > 1e-9 {
-				t.Errorf("weighted <5pp = %f, want 30", got)
-			}
-		}
-	}
-}
-
-func TestMeanErrorMath(t *testing.T) {
-	evals := []*ProgramEval{
-		{
-			Name: "p1",
-			Records: []BranchRecord{
-				{Actual: 0.5, Weight: 1, Pred: map[string]float64{Pred9050: 0.9}}, // 40pp
-				{Actual: 0.5, Weight: 3, Pred: map[string]float64{Pred9050: 0.5}}, // 0pp
-			},
-		},
-	}
-	me := MeanError(evals, false)
-	if math.Abs(me[Pred9050]-20) > 1e-9 {
-		t.Errorf("unweighted mean = %f, want 20", me[Pred9050])
-	}
-	mw := MeanError(evals, true)
-	if math.Abs(mw[Pred9050]-10) > 1e-9 {
-		t.Errorf("weighted mean = %f, want 10", mw[Pred9050])
-	}
-}
-
 func TestFitLinear(t *testing.T) {
 	pts := []Point{{Instrs: 100, Y: 200}, {Instrs: 200, Y: 400}, {Instrs: 400, Y: 800}}
 	fit := FitLinear(pts)
@@ -186,10 +114,12 @@ func TestPrinters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full corpus evaluation")
 	}
-	var sb strings.Builder
-	if err := PrintFigure(&sb, corpus.FPSuite); err != nil {
+	evals, err := EvalAll(Variant{})
+	if err != nil {
 		t.Fatal(err)
 	}
+	var sb strings.Builder
+	PrintFigure(&sb, evals, corpus.FPSuite)
 	out := sb.String()
 	for _, frag := range []string{"Figure 8", "unweighted", "weighted", "vrp", "ball-larus", "90-50"} {
 		if !strings.Contains(out, frag) {
@@ -197,16 +127,14 @@ func TestPrinters(t *testing.T) {
 		}
 	}
 	sb.Reset()
-	if err := PrintLinearity(&sb, false); err != nil {
+	if err := PrintLinearity(&sb, evals, false); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "linear fit") {
 		t.Error("linearity output missing fit")
 	}
 	sb.Reset()
-	if err := PrintSummary(&sb); err != nil {
-		t.Fatal(err)
-	}
+	PrintSummary(&sb, evals)
 	if !strings.Contains(sb.String(), "mean absolute prediction error") {
 		t.Error("summary output malformed")
 	}

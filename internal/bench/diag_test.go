@@ -16,7 +16,7 @@ func TestDiagProgram(t *testing.T) {
 	}
 	for _, name := range []string{"matmul", "dotprod"} {
 		cp := corpus.ByName(name)
-		ev, err := bench.EvalProgram(cp)
+		ev, err := bench.EvalProgram(bench.CorpusSubject(cp), bench.Variant{})
 		if err != nil {
 			t.Fatal(err)
 		}

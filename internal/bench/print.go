@@ -27,27 +27,24 @@ func PrintCurves(w io.Writer, title string, curves []Curve) {
 	fmt.Fprintln(w)
 }
 
-// PrintFigure runs one suite and prints its unweighted and weighted
-// distributions (Figure 7 for the int suite, Figure 8 for fp).
-func PrintFigure(w io.Writer, s corpus.Suite) error {
-	evals, err := EvalSuite(s)
-	if err != nil {
-		return err
-	}
+// PrintFigure prints one suite's unweighted and weighted distributions
+// (Figure 7 for the int suite, Figure 8 for fp) from corpus evals.
+func PrintFigure(w io.Writer, evals []*ProgramEval, s corpus.Suite) {
+	evals = ofSuite(evals, s)
 	figure := "Figure 7 (int suite"
 	if s == corpus.FPSuite {
 		figure = "Figure 8 (fp suite"
 	}
 	PrintCurves(w, figure+", unweighted): % of branches predicted within error margin", ErrorCurves(evals, false))
 	PrintCurves(w, figure+", weighted by execution count): % of branches predicted within error margin", ErrorCurves(evals, true))
-	return nil
 }
 
 // PrintLinearity prints the Figure 5 or Figure 6 point series and its
 // linear fit (the paper's claim: linear in the size of the program). The
 // size axis comes from merged whole programs of growing size (see
-// ScaledPoints); the per-benchmark scatter follows for reference.
-func PrintLinearity(w io.Writer, subOps bool) error {
+// ScaledPoints); the per-benchmark scatter of the corpus evals follows for
+// reference.
+func PrintLinearity(w io.Writer, evals []*ProgramEval, subOps bool) error {
 	if subOps {
 		fmt.Fprintln(w, "Figure 6: evaluation sub-operations versus program size")
 	} else {
@@ -64,10 +61,6 @@ func PrintLinearity(w io.Writer, subOps bool) error {
 	}
 	fmt.Fprintf(w, "linear fit through origin: cost = %.2f * instrs, R^2 = %.3f\n", fit.Slope, fit.R2)
 
-	evals, err := EvalAll()
-	if err != nil {
-		return err
-	}
 	per := EvalPoints(evals, subOps)
 	fmt.Fprintf(w, "per-benchmark scatter (structure-dominated at this size range):\n")
 	for _, p := range per {
@@ -79,13 +72,10 @@ func PrintLinearity(w io.Writer, subOps bool) error {
 
 // PrintSummary prints the §5 headline comparison: mean absolute error per
 // predictor per suite, plus the share of branches VRP predicted from
-// ranges (versus heuristic fallback).
-func PrintSummary(w io.Writer) error {
+// ranges (versus heuristic fallback), from corpus evals.
+func PrintSummary(w io.Writer, all []*ProgramEval) {
 	for _, s := range []corpus.Suite{corpus.IntSuite, corpus.FPSuite} {
-		evals, err := EvalSuite(s)
-		if err != nil {
-			return err
-		}
+		evals := ofSuite(all, s)
 		fmt.Fprintf(w, "suite %s: mean absolute prediction error (percentage points)\n", s)
 		for _, weighted := range []bool{false, true} {
 			me := MeanError(evals, weighted)
@@ -109,5 +99,19 @@ func PrintSummary(w io.Writer) error {
 		}
 		fmt.Fprintln(w)
 	}
-	return nil
+}
+
+// PrintHitRates renders the taken/not-taken comparison for both suites
+// from corpus evals.
+func PrintHitRates(w io.Writer, all []*ProgramEval) {
+	fmt.Fprintln(w, "Taken/not-taken dynamic hit rates (the coarse metric of prior studies):")
+	for _, s := range []corpus.Suite{corpus.IntSuite, corpus.FPSuite} {
+		hr := HitRates(ofSuite(all, s))
+		fmt.Fprintf(w, "  suite %-4s", s.String())
+		for _, pred := range Predictors() {
+			fmt.Fprintf(w, "  %s=%.1f%%", pred, hr[pred])
+		}
+		fmt.Fprintln(w)
+	}
+	fmt.Fprintln(w)
 }

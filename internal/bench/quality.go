@@ -3,36 +3,33 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"vrp"
 	"vrp/internal/corpus"
 	"vrp/internal/genprog"
-	"vrp/internal/heuristics"
-	"vrp/internal/interp"
-	"vrp/internal/ir"
 	"vrp/internal/telemetry"
 )
 
 // Prediction quality as a gated artifact (BENCH_quality.json): for every
 // suite, how much of the branch surface VRP predicts with certainty, how
-// wide the surviving ranges are, and — against the step-bounded
-// interpreter as ground truth — how often each predictor calls the
-// branch direction right. Unlike BENCH_accuracy.json (probability-error
-// curves on the paper corpus), this artifact is a regression *gate*:
+// wide the surviving ranges are, how often each predictor calls the
+// branch direction right against the step-bounded interpreter, and each
+// predictor's probability error (the paper's Figures 7–8 metric).
 // `vrpbench -quality -gate` fails CI when direction agreement or the
-// certain fraction drops below the committed baseline, or when any
-// stale range-certain prediction survives a demotion.
+// certain fraction drops below the committed baseline, when any stale
+// range-certain prediction survives a demotion, or when VRP's weighted
+// error on the corpus is not below Ball–Larus's.
 
 // QualitySchema identifies the BENCH_quality.json format (EXPERIMENTS.md).
-const QualitySchema = "vrp-quality/v1"
+const QualitySchema = "vrp-quality/v2"
 
 // QualitySuite is one suite's quality row.
 type QualitySuite struct {
-	Suite    string `json:"suite"`
-	Programs int    `json:"programs"`
-	Branches int64  `json:"branches"` // emitted predictions across the suite
+	Suite            string `json:"suite"`
+	Programs         int    `json:"programs"`
+	Branches         int64  `json:"branches"`          // emitted predictions across the suite
+	ExecutedBranches int    `json:"executed_branches"` // branches the ref input executed (the scored ones)
 
 	// CertainFraction is the share of emitted predictions that are
 	// range-certain (P ∈ {0, 1}); MeanLog2Width the program-equal mean of
@@ -49,11 +46,27 @@ type QualitySuite struct {
 	Cells          int64   `json:"cells"`
 	BottomFraction float64 `json:"bottom_fraction"`
 
-	// AgreementPct is VRP's direction-agreement rate with the
-	// interpreter over executed branches, in percent; PredictorHitPct
-	// the same rate per comparison predictor.
+	// AgreementPct is VRP's direction agreement with the interpreter
+	// over executed branches, in percent; PredictorHitPct the same rate
+	// for vrp, ball-larus and 90-50.
 	AgreementPct    float64            `json:"agreement_pct"`
 	PredictorHitPct map[string]float64 `json:"predictor_hit_pct"`
+
+	// Predictors scores every predictor the suite's records carry.
+	Predictors map[string]PredictorScore `json:"predictors"`
+}
+
+// PredictorScore is one predictor's error and hit rate over a suite,
+// each program weighted equally.
+type PredictorScore struct {
+	// MeanAbsErrPct is the mean absolute probability error in percentage
+	// points, each branch counting once (the paper's unweighted
+	// distributions collapsed to a scalar); WeightedMeanAbsErrPct weights
+	// each branch by its execution count.
+	MeanAbsErrPct         float64 `json:"mean_abs_err_pct"`
+	WeightedMeanAbsErrPct float64 `json:"weighted_mean_abs_err_pct"`
+	// HitRatePct is the dynamic taken/not-taken hit rate (HitRates).
+	HitRatePct float64 `json:"hit_rate_pct"`
 }
 
 // QualityReport is the machine-readable content of BENCH_quality.json.
@@ -62,70 +75,54 @@ type QualityReport struct {
 	Suites []QualitySuite `json:"suites"`
 }
 
-// qualityProgram is one evaluation unit: a source plus its interpreter
-// input and step budget.
-type qualityProgram struct {
-	name     string
-	source   string
-	input    []int64
-	maxSteps int64
-}
-
-// qualitySuites returns the evaluation matrix: both corpus suites on
-// their reference inputs, plus the default and 10k genprog presets
-// (zero-input, step-bounded — the mega-shape traffic vrpd actually
-// serves).
-func qualitySuites() []struct {
-	name  string
-	progs []qualityProgram
-} {
-	var out []struct {
-		name  string
-		progs []qualityProgram
-	}
-	for _, s := range []corpus.Suite{corpus.IntSuite, corpus.FPSuite} {
-		var ps []qualityProgram
-		for _, cp := range corpus.BySuite(s) {
-			ps = append(ps, qualityProgram{name: cp.Name, source: cp.Source, input: cp.Ref})
-		}
-		out = append(out, struct {
-			name  string
-			progs []qualityProgram
-		}{"corpus-" + s.String(), ps})
-	}
-	for _, preset := range []string{"default", "10k"} {
-		cfg, _ := genprog.Preset(preset)
-		out = append(out, struct {
-			name  string
-			progs []qualityProgram
-		}{"gen-" + preset, []qualityProgram{{
-			name:     "gen-" + preset,
-			source:   genprog.Source(cfg),
-			maxSteps: 4 << 20,
-		}}})
-	}
-	return out
-}
-
-// Quality evaluates every suite and assembles the report. maxEvals > 0
-// overrides the engine's per-instruction evaluation budget — the
-// synthetic-regression knob the CI gate uses to prove the gate fires
+// Quality evaluates both corpus suites on their reference inputs, plus
+// the default and 10k genprog presets (zero-input, step-bounded — the
+// mega-shape traffic vrpd actually serves), and assembles the report.
+// maxEvals > 0 overrides the engine's per-instruction evaluation budget —
+// the synthetic-regression knob the CI gate uses to prove the gate fires
 // (forcing MaxEvals=1 widens aggressively and craters the certain
 // fraction).
 func Quality(maxEvals int) (*QualityReport, error) {
+	var v Variant
+	if maxEvals > 0 {
+		v.Opts = []vrp.Option{vrp.WithMaxEvals(maxEvals)}
+	}
+	type suite struct {
+		name     string
+		subjects []Subject
+	}
+	var suites []suite
+	for _, s := range []corpus.Suite{corpus.IntSuite, corpus.FPSuite} {
+		suites = append(suites, suite{"corpus-" + s.String(), corpusSubjects(corpus.BySuite(s))})
+	}
+	for _, preset := range []string{"default", "10k"} {
+		cfg, _ := genprog.Preset(preset)
+		name := "gen-" + preset
+		suites = append(suites, suite{name, []Subject{{Name: name, Source: genprog.Source(cfg), MaxSteps: 4 << 20}}})
+	}
 	rep := &QualityReport{Schema: QualitySchema}
-	for _, s := range qualitySuites() {
-		qs, err := evalQualitySuite(s.name, s.progs, maxEvals)
+	for _, s := range suites {
+		evals, err := evalSubjects(s.subjects, v)
 		if err != nil {
 			return nil, err
 		}
-		rep.Suites = append(rep.Suites, qs)
+		rep.Suites = append(rep.Suites, qualityRow(s.name, evals))
 	}
 	return rep, nil
 }
 
-func evalQualitySuite(name string, progs []qualityProgram, maxEvals int) (QualitySuite, error) {
-	qs := QualitySuite{Suite: name, Programs: len(progs), PredictorHitPct: map[string]float64{}}
+// agreementPredictors are the predictors PredictorHitPct reports, the
+// set schema v1 published.
+var agreementPredictors = []string{PredVRP, PredBallLarus, Pred9050}
+
+// qualityRow scores one suite from its evals.
+func qualityRow(name string, evals []*ProgramEval) QualitySuite {
+	qs := QualitySuite{
+		Suite:           name,
+		Programs:        len(evals),
+		PredictorHitPct: map[string]float64{},
+		Predictors:      map[string]PredictorScore{},
+	}
 	bottomIdx := 0
 	for i, l := range telemetry.QualityClassLabels {
 		if l == "bottom" {
@@ -133,79 +130,45 @@ func evalQualitySuite(name string, progs []qualityProgram, maxEvals int) (Qualit
 		}
 	}
 	var widthSum float64
-	widthN := 0
 	var bottomCells int64
-	hits := map[string]int64{}
-	var agreed, executed int64
-	for _, qp := range progs {
-		p, err := vrp.Compile(qp.name+".mini", qp.source)
-		if err != nil {
-			return qs, fmt.Errorf("%s: %w", qp.name, err)
+	for _, ev := range evals {
+		qs.ExecutedBranches += len(ev.Records)
+		q := ev.Quality
+		if q == nil {
+			continue
 		}
-		opts := []vrp.Option{vrp.WithTelemetry(), vrp.WithWorkers(1)}
-		if maxEvals > 0 {
-			opts = append(opts, vrp.WithMaxEvals(maxEvals))
-		}
-		a, err := p.Analyze(opts...)
-		if err != nil {
-			return qs, fmt.Errorf("%s vrp: %w", qp.name, err)
-		}
-		q := a.Quality()
 		qs.Branches += q.Branches
 		qs.CertainFraction += float64(q.Certain) // normalized below
 		qs.StaleCertain += q.StaleCertain
 		widthSum += q.MeanLog2Width
-		widthN++
 		qs.Cells += q.Classes.Total()
 		bottomCells += q.Classes.Counts[bottomIdx]
-
-		prof, err := p.RunWith(qp.input, interp.Options{MaxSteps: qp.maxSteps})
-		if err != nil {
-			return qs, fmt.Errorf("%s run: %w", qp.name, err)
-		}
-		vrpPred := predictionMap(a)
-		bl := heuristics.NewBallLarus(p.IR)
-		for _, f := range p.IR.Funcs {
-			for _, b := range f.Blocks {
-				t := b.Terminator()
-				if t == nil || t.Op != ir.OpBr {
-					continue
-				}
-				gt, ran := prof.BranchProb(f, t)
-				if !ran {
-					continue
-				}
-				executed++
-				actual := gt >= 0.5
-				if (vrpPred[t].prob >= 0.5) == actual {
-					agreed++
-					hits[PredVRP]++
-				}
-				if (bl.Prob(f, t) >= 0.5) == actual {
-					hits[PredBallLarus]++
-				}
-				if (heuristics.NinetyFifty(f, t) >= 0.5) == actual {
-					hits[Pred9050]++
-				}
-			}
-		}
 	}
 	if qs.Branches > 0 {
 		qs.CertainFraction /= float64(qs.Branches)
 	}
-	if widthN > 0 {
-		qs.MeanLog2Width = widthSum / float64(widthN)
+	if len(evals) > 0 {
+		qs.MeanLog2Width = widthSum / float64(len(evals))
 	}
 	if qs.Cells > 0 {
 		qs.BottomFraction = float64(bottomCells) / float64(qs.Cells)
 	}
-	if executed > 0 {
-		qs.AgreementPct = 100 * float64(agreed) / float64(executed)
-		for pred, h := range hits {
-			qs.PredictorHitPct[pred] = 100 * float64(h) / float64(executed)
+	agree := agreement(evals)
+	qs.AgreementPct = agree[PredVRP]
+	for _, pred := range agreementPredictors {
+		if pct, ok := agree[pred]; ok {
+			qs.PredictorHitPct[pred] = pct
 		}
 	}
-	return qs, nil
+	unweighted, weighted := MeanError(evals, false), MeanError(evals, true)
+	for pred, hr := range HitRates(evals) {
+		qs.Predictors[pred] = PredictorScore{
+			MeanAbsErrPct:         unweighted[pred],
+			WeightedMeanAbsErrPct: weighted[pred],
+			HitRatePct:            hr,
+		}
+	}
+	return qs
 }
 
 // Gate tolerances: agreement may wobble by interpreter-input luck on
@@ -221,8 +184,11 @@ const (
 
 // QualityGate compares a fresh report against the committed baseline and
 // returns an error describing every regression: direction agreement
-// below baseline−2pp, certain fraction below baseline−0.02, or more
-// stale-certain re-derivations than the baseline recorded.
+// below baseline−2pp, certain fraction below baseline−0.02, ⊥ cell
+// fraction above baseline+0.02, or more stale-certain re-derivations than
+// the baseline recorded. Independent of any baseline, it also fails
+// unless VRP's weighted probability error on corpus-int and corpus-fp is
+// below Ball–Larus's — the paper's headline claim (§5).
 func QualityGate(base, cur *QualityReport) error {
 	baseBy := map[string]QualitySuite{}
 	for _, s := range base.Suites {
@@ -230,6 +196,13 @@ func QualityGate(base, cur *QualityReport) error {
 	}
 	var fails []string
 	for _, s := range cur.Suites {
+		if s.Suite == "corpus-int" || s.Suite == "corpus-fp" {
+			v, bl := s.Predictors[PredVRP], s.Predictors[PredBallLarus]
+			if v.WeightedMeanAbsErrPct >= bl.WeightedMeanAbsErrPct {
+				fails = append(fails, fmt.Sprintf("%s: vrp weighted error %.1fpp not below ball-larus %.1fpp",
+					s.Suite, v.WeightedMeanAbsErrPct, bl.WeightedMeanAbsErrPct))
+			}
+		}
 		b, ok := baseBy[s.Suite]
 		if !ok {
 			continue // new suite: no baseline to regress against
@@ -262,16 +235,22 @@ func QualityGate(base, cur *QualityReport) error {
 func PrintQuality(w io.Writer, rep *QualityReport) {
 	fmt.Fprintln(w, "Prediction quality per suite (interpreter ground truth):")
 	for _, s := range rep.Suites {
-		fmt.Fprintf(w, "  suite %-10s (%d programs, %d branches)\n", s.Suite, s.Programs, s.Branches)
+		fmt.Fprintf(w, "  suite %-10s (%d programs, %d branches, %d executed)\n",
+			s.Suite, s.Programs, s.Branches, s.ExecutedBranches)
 		fmt.Fprintf(w, "    certain %.3f  mean-log2-width %.2f  bottom %.3f  agreement %.1f%%  stale-certain %d\n",
 			s.CertainFraction, s.MeanLog2Width, s.BottomFraction, s.AgreementPct, s.StaleCertain)
-		preds := make([]string, 0, len(s.PredictorHitPct))
-		for p := range s.PredictorHitPct {
-			preds = append(preds, p)
-		}
-		sort.Strings(preds)
-		for _, p := range preds {
-			fmt.Fprintf(w, "    %-12s hit %.1f%%\n", p, s.PredictorHitPct[p])
+		fmt.Fprintf(w, "    %-12s %8s %8s %10s %12s\n", "predictor", "agree", "hit%", "abs-err", "w-abs-err")
+		for _, pred := range Predictors() {
+			ps, ok := s.Predictors[pred]
+			if !ok {
+				continue
+			}
+			agree := "-"
+			if pct, ok := s.PredictorHitPct[pred]; ok {
+				agree = fmt.Sprintf("%.1f%%", pct)
+			}
+			fmt.Fprintf(w, "    %-12s %8s %7.1f%% %9.1fpp %11.1fpp\n",
+				pred, agree, ps.HitRatePct, ps.MeanAbsErrPct, ps.WeightedMeanAbsErrPct)
 		}
 	}
 	fmt.Fprintln(w)
