@@ -5,7 +5,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test vet race fmt check bench bench-gate bench-scale quality-gate serve loadtest
+.PHONY: build test vet race fmt check perf-gate quality-gate serve loadtest
 
 build:
 	$(GO) build ./...
@@ -30,21 +30,15 @@ fmt:
 
 check: fmt vet race
 
-# Machine-readable driver benchmark: writes BENCH_driver.json.
-bench:
-	$(GO) run ./cmd/vrpbench -bench
-
-# Interning regression gate: writes BENCH_lattice.json and fails if the
-# hash-cons layer is slower than running without it on any corpus point
-# (quick sizes plus the generated ≥10k-instruction tier).
-bench-gate:
-	$(GO) run ./cmd/vrpbench -lattice -gate -quick
-
-# Mega-scale pipeline benchmark: one full lex→parse→sem→ssaform→VRP run
-# per generated tier (10k/100k/1M instructions), with the near-linear
-# scaling gate (gen-100k ns/instr ≤ 2× gen-10k). Writes BENCH_scale.json.
-bench-scale:
-	$(GO) run ./cmd/vrpbench -scale -gate
+# Perf-ledger gate: rewrite BENCH_perf.json (median ns/instr with its
+# spread, the parse/ssa/vrp split and allocs/instr, over interleaved
+# rounds of merged corpus programs and the generated 10k/100k tiers) and
+# fail if any point allocates more than 2% above the committed ledger per
+# instruction, or if gen-100k's ns/instr exceeds 2× gen-10k's. A failing
+# gate leaves the committed ledger untouched. Compare allocs/instr only
+# under the go_version the ledger records.
+perf-gate:
+	$(GO) run ./cmd/vrpbench -perf -gate
 
 # Prediction-quality gate: rewrite BENCH_quality.json (per-suite quality
 # and every predictor's probability error) and fail if interpreter

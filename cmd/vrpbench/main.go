@@ -12,18 +12,20 @@
 //	vrpbench -summary   §5 headline numbers
 //	vrpbench -apps      §6 applications
 //	vrpbench -ablations DESIGN.md §5 ablation table
-//	vrpbench -bench     machine-readable driver benchmark (BENCH_driver.json)
-//	vrpbench -scale     mega-scale pipeline benchmark over generated 10k/100k/1M-instruction tiers (BENCH_scale.json)
+//	vrpbench -perf      perf ledger: ns/instr, phase split and allocs/instr on merged corpus and generated tiers (BENCH_perf.json)
 //	vrpbench -quality   per-suite prediction quality and per-predictor errors vs the interpreter (BENCH_quality.json)
+//
+// -gate, with -perf or -quality, checks the fresh report against the
+// committed one and exits nonzero on a regression.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
-	"strings"
 
 	"vrp"
 	"vrp/internal/bench"
@@ -32,52 +34,48 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes one vrpbench invocation and returns its exit code: 0 on
+// success, 1 when the run or a gate fails, 2 on a usage error.
+func run(args []string, w, errw io.Writer) int {
+	fs := flag.NewFlagSet("vrpbench", flag.ContinueOnError)
+	fs.SetOutput(errw)
 	var (
-		fig         = flag.Int("fig", 0, "reproduce one figure (4-8); 0 = all")
-		summary     = flag.Bool("summary", false, "print the §5 summary only")
-		apps        = flag.Bool("apps", false, "print the §6 applications only")
-		ablations   = flag.Bool("ablations", false, "print the ablation table only")
-		benchMode   = flag.Bool("bench", false, "benchmark the parallel incremental driver, emit JSON")
-		benchOut    = flag.String("benchout", "BENCH_driver.json", "output path for -bench")
-		benchIter   = flag.Int("benchiter", 5, "timing iterations per -bench point")
-		latticeRun  = flag.Bool("lattice", false, "benchmark interning on vs off, emit JSON")
-		latticeOut  = flag.String("latticeout", "BENCH_lattice.json", "output path for -lattice")
-		latticeGate = flag.Bool("gate", false, "with -lattice, exit nonzero if interning is slower than no-interning on any point; with -scale, exit nonzero if the 100k tier's ns/instr exceeds 2x the 10k tier's; with -quality, exit nonzero if a suite regresses below the committed baseline or vrp's weighted error on the corpus is not below ball-larus's")
-		scaleRun    = flag.Bool("scale", false, "run the mega-scale pipeline benchmark over the generated 10k/100k/1M tiers, emit JSON")
-		scaleOut    = flag.String("scaleout", "BENCH_scale.json", "output path for -scale")
-		scaleMax    = flag.String("scalemax", "", "with -scale, largest tier to run (e.g. 100k for CI smoke; empty = all)")
-		qualityRun  = flag.Bool("quality", false, "evaluate prediction quality (corpus + genprog presets vs the interpreter), emit JSON")
-		qualityOut  = flag.String("qualityout", "BENCH_quality.json", "output path for -quality")
-		qualityBase = flag.String("qualitybase", "", "with -quality -gate, baseline report to gate against (default: the -qualityout path before it is overwritten)")
-		maxEvals    = flag.Int("maxevals", 0, "with -quality, override the engine's per-instruction evaluation budget (synthetic precision-regression knob for gate tests; 0 = default)")
-		quick       = flag.Bool("quick", false, "with -bench/-lattice, run the abbreviated CI series (fewer sizes, 1 iteration)")
+		fig         = fs.Int("fig", 0, "reproduce one figure (4-8); 0 = all")
+		summary     = fs.Bool("summary", false, "print the §5 summary only")
+		apps        = fs.Bool("apps", false, "print the §6 applications only")
+		ablations   = fs.Bool("ablations", false, "print the ablation table only")
+		perfRun     = fs.Bool("perf", false, "measure the perf ledger (merged corpus + generated tiers), emit JSON")
+		perfOut     = fs.String("perfout", "BENCH_perf.json", "output path for -perf")
+		gate        = fs.Bool("gate", false, "with -perf, exit nonzero if a point's allocs/instr exceeds the committed ledger by more than 2% or gen-100k's ns/instr exceeds 2x gen-10k's; with -quality, exit nonzero if a suite regresses below the committed baseline or vrp's weighted error on the corpus is not below ball-larus's")
+		qualityRun  = fs.Bool("quality", false, "evaluate prediction quality (corpus + genprog presets vs the interpreter), emit JSON")
+		qualityOut  = fs.String("qualityout", "BENCH_quality.json", "output path for -quality")
+		qualityBase = fs.String("qualitybase", "", "with -quality -gate, baseline report to gate against (default: the -qualityout path before it is overwritten)")
+		maxEvals    = fs.Int("maxevals", 0, "with -quality, override the engine's per-instruction evaluation budget (synthetic precision-regression knob for gate tests; 0 = default)")
 	)
-	flag.Parse()
-	w := os.Stdout
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *gate && !*perfRun && !*qualityRun {
+		// A gate that checks nothing must not pass a CI step.
+		fmt.Fprintln(errw, "vrpbench: -gate needs -perf or -quality")
+		fs.Usage()
+		return 2
+	}
 
 	var err error
 	switch {
-	case *benchMode:
-		sizes, iters := bench.ScaledSizes, *benchIter
-		if *quick {
-			sizes, iters = bench.QuickSizes, 1
-		}
-		err = runDriverBench(w, *benchOut, sizes, iters)
-	case *latticeRun:
-		sizes, iters := bench.ScaledSizes, *benchIter
-		if *quick {
-			sizes, iters = bench.QuickSizes, 1
-		}
-		if *latticeGate && iters < 3 {
-			// A gating run must not fail on one unlucky scheduling
-			// quantum; three best-of iterations is the floor.
-			iters = 3
-		}
-		err = runLatticeBench(w, *latticeOut, sizes, iters, *latticeGate)
-	case *scaleRun:
-		err = runScaleBench(w, *scaleOut, *scaleMax, *latticeGate)
+	case *perfRun:
+		err = runPerf(w, *perfOut, *gate, func() (*bench.PerfReport, error) {
+			return bench.Perf(genprog.ScaleTiers())
+		})
 	case *qualityRun:
-		err = runQuality(w, *qualityOut, *qualityBase, *latticeGate, *maxEvals)
+		err = runQuality(w, *qualityOut, *qualityBase, *gate, *maxEvals)
 	case *summary:
 		var evals []*bench.ProgramEval
 		if evals, err = bench.EvalAll(bench.Variant{}); err == nil {
@@ -107,149 +105,65 @@ func main() {
 				bench.PrintFigure(w, evals, s)
 			}
 		default:
-			fmt.Fprintf(os.Stderr, "vrpbench: unknown figure %d\n", *fig)
-			os.Exit(2)
+			fmt.Fprintf(errw, "vrpbench: unknown figure %d\n", *fig)
+			return 2
 		}
 	default:
 		err = printAll(w)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "vrpbench:", err)
-		os.Exit(1)
+		fmt.Fprintln(errw, "vrpbench:", err)
+		return 1
 	}
+	return 0
 }
 
-// driverBenchReport is the machine-readable result of -bench: the
-// parallel-vs-sequential scaling curve of the analysis driver, plus the
-// dirty-set work-skipping counters.
-type driverBenchReport struct {
-	GOMAXPROCS int                 `json:"gomaxprocs"`
-	Points     []bench.DriverPoint `json:"points"`
-}
-
-func runDriverBench(w *os.File, outPath string, sizes []int, iters int) error {
-	pts, err := bench.DriverScaling(sizes, iters)
+// readReport loads a committed report to gate against.
+func readReport(path string, v any) error {
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return fmt.Errorf("gate needs a committed baseline: %w", err)
 	}
-	rep := driverBenchReport{GOMAXPROCS: runtime.GOMAXPROCS(0), Points: pts}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "driver benchmark (%d workers), best of %d:\n", rep.GOMAXPROCS, iters)
-	fmt.Fprintf(w, "  %-10s %7s %6s %12s %12s %8s %10s %11s %7s %9s %8s %5s %10s %7s %6s\n",
-		"program", "instrs", "funcs", "seq ns/op", "par ns/op", "speedup", "allocs/op", "bytes/op", "passes", "analyzed", "skipped", "conv", "steps", "peakWL", "widen")
-	for _, p := range pts {
-		conv := "yes"
-		if !p.Converged {
-			conv = "NO"
-		}
-		peak := p.FlowPeak
-		if p.SSAPeak > peak {
-			peak = p.SSAPeak
-		}
-		fmt.Fprintf(w, "  %-10s %7d %6d %12d %12d %7.2fx %10d %11d %7d %9d %8d %5s %10d %7d %6d\n",
-			p.Name, p.Instrs, p.Funcs, p.SeqNsOp, p.ParNsOp, p.Speedup, p.AllocsOp, p.BytesOp,
-			p.Passes, p.Analyzed, p.Skipped, conv, p.EngineSteps, peak, p.Widens)
-	}
-	fmt.Fprintf(w, "wrote %s\n", outPath)
-	return nil
-}
-
-// latticeBenchReport is the machine-readable result of -lattice: the
-// intern-on vs intern-off cost comparison (BENCH_lattice.json; schema in
-// EXPERIMENTS.md).
-type latticeBenchReport struct {
-	GOMAXPROCS int                  `json:"gomaxprocs"`
-	Points     []bench.LatticePoint `json:"points"`
-}
-
-func runLatticeBench(w *os.File, outPath string, sizes []int, iters int, gate bool) error {
-	pts, err := bench.LatticeComparison(sizes, iters)
-	if err != nil {
-		return err
-	}
-	rep := latticeBenchReport{GOMAXPROCS: runtime.GOMAXPROCS(0), Points: pts}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "lattice interning benchmark (sequential), best of %d:\n", iters)
-	fmt.Fprintf(w, "  %-10s %7s %12s %12s %11s %11s %10s %11s %10s %10s %11s %9s %8s %10s\n",
-		"program", "instrs", "on ns/op", "off ns/op", "on allocs", "off allocs", "alloc-red",
-		"arena", "skip-rate", "merge-hit", "intern-hit", "memo-hit", "peakMB", "verdict")
-	var slower []string
-	for _, p := range pts {
-		verdict := "ok"
-		if p.OnNsOp > p.OffNsOp {
-			verdict = "SLOWER"
-			slower = append(slower, p.Name)
-		}
-		fmt.Fprintf(w, "  %-10s %7d %12d %12d %11d %11d %9.1f%% %11d %9.1f%% %10d %11d %9d %8.1f %10s\n",
-			p.Name, p.Instrs, p.OnNsOp, p.OffNsOp, p.OnAllocsOp, p.OffAllocsOp,
-			100*p.AllocReduction, p.ArenaBytes, 100*p.ConfirmSkipRate,
-			p.MergeMemoHits, p.InternHits, p.MemoHits, float64(p.PeakHeapBytes)/(1<<20), verdict)
-	}
-	fmt.Fprintf(w, "wrote %s\n", outPath)
-	if gate && len(slower) > 0 {
-		return fmt.Errorf("interning gate failed: interning slower than no-interning on %d of %d points: %s",
-			len(slower), len(pts), strings.Join(slower, ", "))
+	if err := json.Unmarshal(data, v); err != nil {
+		return fmt.Errorf("baseline %s: %w", path, err)
 	}
 	return nil
 }
 
-// scaleBenchReport is the machine-readable result of -scale: one full
-// single-shot pipeline run (lex→parse→sem→ssaform→VRP, sequential
-// schedule) per generated mega-scale tier (BENCH_scale.json; schema
-// vrp-scale/v1 in EXPERIMENTS.md).
-type scaleBenchReport struct {
-	Schema     string             `json:"schema"`
-	GOMAXPROCS int                `json:"gomaxprocs"`
-	Points     []bench.ScalePoint `json:"points"`
+// writeReport writes a report as indented JSON.
+func writeReport(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // runQuality evaluates prediction quality against the interpreter and
 // writes BENCH_quality.json. With gate set, the committed baseline is
 // read before the artifact is overwritten (from basePath if given,
 // otherwise outPath) and the fresh report must not regress against it.
-func runQuality(w *os.File, outPath, basePath string, gate bool, maxEvals int) error {
-	var base *bench.QualityReport
+func runQuality(w io.Writer, outPath, basePath string, gate bool, maxEvals int) error {
+	var base bench.QualityReport
 	if gate {
-		p := basePath
-		if p == "" {
-			p = outPath
+		if basePath == "" {
+			basePath = outPath
 		}
-		data, err := os.ReadFile(p)
-		if err != nil {
-			return fmt.Errorf("quality gate needs a committed baseline: %w", err)
-		}
-		base = new(bench.QualityReport)
-		if err := json.Unmarshal(data, base); err != nil {
-			return fmt.Errorf("baseline %s: %w", p, err)
+		if err := readReport(basePath, &base); err != nil {
+			return err
 		}
 	}
 	rep, err := bench.Quality(maxEvals)
 	if err != nil {
 		return err
 	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
+	if err := writeReport(outPath, rep); err != nil {
 		return err
 	}
 	bench.PrintQuality(w, rep)
 	fmt.Fprintf(w, "wrote %s\n", outPath)
 	if gate {
-		if err := bench.QualityGate(base, rep); err != nil {
+		if err := bench.QualityGate(&base, rep); err != nil {
 			return err
 		}
 		fmt.Fprintln(w, "quality gate: ok")
@@ -257,60 +171,41 @@ func runQuality(w *os.File, outPath, basePath string, gate bool, maxEvals int) e
 	return nil
 }
 
-func runScaleBench(w *os.File, outPath, maxTier string, gate bool) error {
-	tiers := genprog.ScaleTiers()
-	if maxTier != "" {
-		cut := -1
-		for i, t := range tiers {
-			if t.Name == "gen-"+maxTier || t.Name == maxTier {
-				cut = i
-			}
+// runPerf measures the perf ledger and writes it to outPath. With gate
+// set, the fresh ledger is gated against the one committed at outPath,
+// and a failing run leaves that file alone: writing it would make the
+// regressed numbers the next run's baseline. The table on w keeps the
+// evidence either way.
+func runPerf(w io.Writer, outPath string, gate bool, measure func() (*bench.PerfReport, error)) error {
+	var base bench.PerfReport
+	if gate {
+		if err := readReport(outPath, &base); err != nil {
+			return err
 		}
-		if cut < 0 {
-			return fmt.Errorf("-scalemax %q matches no scale tier", maxTier)
-		}
-		tiers = tiers[:cut+1]
 	}
-	pts, err := bench.MegaScale(tiers)
+	rep, err := measure()
 	if err != nil {
 		return err
 	}
-	rep := scaleBenchReport{Schema: "vrp-scale/v1", GOMAXPROCS: runtime.GOMAXPROCS(0), Points: pts}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "mega-scale pipeline benchmark (sequential, single shot):\n")
-	fmt.Fprintf(w, "  %-9s %8s %6s %8s %9s %9s %9s %9s %10s %10s %10s %7s %5s\n",
-		"tier", "instrs", "funcs", "total", "parse", "ssa", "vrp", "ns/instr", "allocs", "allocMB", "peakMB", "passes", "conv")
-	for _, p := range pts {
-		conv := "yes"
-		if !p.Converged {
-			conv = "NO"
+	bench.PrintPerf(w, rep)
+	if gate {
+		if err := bench.PerfGate(&base, rep); err != nil {
+			return fmt.Errorf("%w\n%s left unchanged", err, outPath)
 		}
-		fmt.Fprintf(w, "  %-9s %8d %6d %7.2fs %8.3fs %8.3fs %8.2fs %9.1f %10d %10.1f %10.1f %7d %5s\n",
-			p.Name, p.Instrs, p.Funcs,
-			float64(p.TotalNs)/1e9, float64(p.PhaseNs["parse"])/1e9,
-			float64(p.PhaseNs["ssa"])/1e9, float64(p.PhaseNs["vrp"])/1e9,
-			p.NsPerInstr, p.Allocs, float64(p.AllocBytes)/(1<<20),
-			float64(p.PeakHeapBytes)/(1<<20), p.Passes, conv)
+	}
+	if err := writeReport(outPath, rep); err != nil {
+		return err
 	}
 	fmt.Fprintf(w, "wrote %s\n", outPath)
 	if gate {
-		if err := bench.ScaleGate(pts, 2.0); err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "scale gate: ok (gen-100k ns/instr within 2x gen-10k)")
+		fmt.Fprintln(w, "perf gate: ok (allocs/instr within +2% of the committed ledger; gen-100k ns/instr within 2x gen-10k)")
 	}
 	return nil
 }
 
 // printAll reproduces every table and figure, evaluating the corpus once
 // for all of the evaluation printers.
-func printAll(w *os.File) error {
+func printAll(w io.Writer) error {
 	if err := printFig4(w); err != nil {
 		return err
 	}
@@ -335,7 +230,7 @@ func printAll(w *os.File) error {
 
 // printFig4 reproduces the paper's worked example (Figures 2-4): the value
 // ranges of x and y and the three branch probabilities 91%/20%/30%.
-func printFig4(w *os.File) error {
+func printFig4(w io.Writer) error {
 	const src = `
 func main() {
 	var y = 0;

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
-	"time"
 
 	"vrp"
 	"vrp/internal/corpus"
@@ -23,12 +21,13 @@ import (
 // through-origin fit.
 
 // mergedProgram compiles the given corpus programs fresh and links them
-// into a single ir.Program with prefixed names.
-func mergedProgram(progs []*corpus.Program) (*ir.Program, error) {
+// into a single ir.Program with prefixed names. tr, when non-nil, receives
+// each compilation's root "parse" and "ssa" phase spans.
+func mergedProgram(progs []*corpus.Program, tr *telemetry.Trace) (*ir.Program, error) {
 	merged := &ir.Program{ByName: map[string]*ir.Func{}}
 	var subMains []string
 	for k, cp := range progs {
-		p, err := vrp.Compile(cp.Name+".mini", cp.Source)
+		p, err := vrp.CompileWith(cp.Name+".mini", cp.Source, vrp.CompileOptions{Trace: tr, TraceParent: telemetry.NoSpan})
 		if err != nil {
 			return nil, err
 		}
@@ -71,11 +70,6 @@ func mergedProgram(progs []*corpus.Program) (*ir.Program, error) {
 // ScaledSizes is the K-prefix series used for the Figure 5/6 fits.
 var ScaledSizes = []int{1, 2, 4, 6, 8, 12, 16, 20, 24, 28, 31}
 
-// QuickSizes is the abbreviated series for CI smoke runs (vrpbench -bench
-// -quick): small enough to finish in seconds, large enough to exercise the
-// parallel schedule and the skip path.
-var QuickSizes = []int{1, 4, 8}
-
 // ScaledPoints measures analysis cost on merged programs of growing size.
 func ScaledPoints(subOps bool) ([]Point, error) {
 	all := corpus.All()
@@ -84,7 +78,7 @@ func ScaledPoints(subOps bool) ([]Point, error) {
 		if k > len(all) {
 			k = len(all)
 		}
-		mp, err := mergedProgram(all[:k])
+		mp, err := mergedProgram(all[:k], nil)
 		if err != nil {
 			return nil, err
 		}
@@ -106,135 +100,6 @@ func ScaledPoints(subOps bool) ([]Point, error) {
 		}
 	}
 	return pts, nil
-}
-
-// DriverPoint is one measurement of the parallel incremental driver
-// against the sequential schedule on a merged program.
-type DriverPoint struct {
-	Name    string  `json:"name"`
-	Instrs  int     `json:"instrs"`
-	Funcs   int     `json:"funcs"`
-	SeqNsOp int64   `json:"seq_ns_per_op"`
-	ParNsOp int64   `json:"par_ns_per_op"`
-	Speedup float64 `json:"speedup"`
-
-	// Heap cost of one sequential analysis (runtime.MemStats deltas over
-	// the timed runs): allocations and bytes per Analyze call.
-	AllocsOp int64 `json:"allocs_per_op"`
-	BytesOp  int64 `json:"bytes_per_op"`
-	Passes   int   `json:"passes"`
-	Analyzed int64 `json:"funcs_analyzed"`
-	Skipped  int64 `json:"funcs_skipped"`
-
-	// Converged distinguishes a true fixpoint from a MaxPasses cutoff
-	// (where ⊤ values were demoted); a benchmark point that did not
-	// converge is timing a different amount of work.
-	Converged bool `json:"converged"`
-
-	// Telemetry totals from a separate instrumented run of the same
-	// program (telemetry stays off during the timed runs, so the ns/op
-	// columns measure the disabled path). PassWallNs is the wall clock of
-	// each interprocedural pass of that run.
-	EngineSteps   int64   `json:"engine_steps"`
-	FlowPeak      int64   `json:"flow_peak"`
-	SSAPeak       int64   `json:"ssa_peak"`
-	Widens        int64   `json:"widens"`
-	BoundaryDrops int64   `json:"boundary_drops"`
-	PassWallNs    []int64 `json:"pass_wall_ns"`
-}
-
-// DriverScaling times the analysis of merged corpus programs of growing
-// size under Workers: 1 (sequential) and Workers: 0 (one per CPU),
-// reporting the best of iters runs each. Both schedules produce
-// bit-identical results; the dirty-set counters come from the parallel
-// run (they are identical for both by construction).
-func DriverScaling(sizes []int, iters int) ([]DriverPoint, error) {
-	if iters < 1 {
-		iters = 1
-	}
-	all := corpus.All()
-	var pts []DriverPoint
-	for _, k := range sizes {
-		if k > len(all) {
-			k = len(all)
-		}
-		mp, err := mergedProgram(all[:k])
-		if err != nil {
-			return nil, err
-		}
-		seqCfg := defaultEngineConfig(mp)
-		seqCfg.Workers = 1
-		parCfg := defaultEngineConfig(mp)
-		parCfg.Workers = 0
-		seqNs, seqAllocs, seqBytes, err := measureAnalyze(mp, seqCfg, iters)
-		if err != nil {
-			return nil, err
-		}
-		parNs, _, _, err := measureAnalyze(mp, parCfg, iters)
-		if err != nil {
-			return nil, err
-		}
-		telCfg := parCfg
-		telCfg.Telemetry = telemetry.New()
-		res, err := corevrp.Analyze(mp, telCfg)
-		if err != nil {
-			return nil, err
-		}
-		pt := DriverPoint{
-			Name:      fmt.Sprintf("merged-%d", k),
-			Instrs:    mp.NumInstrs(),
-			Funcs:     len(mp.Funcs),
-			SeqNsOp:   seqNs,
-			ParNsOp:   parNs,
-			Speedup:   float64(seqNs) / float64(parNs),
-			AllocsOp:  seqAllocs,
-			BytesOp:   seqBytes,
-			Passes:    res.Stats.Passes,
-			Analyzed:  res.Stats.FuncsAnalyzed,
-			Skipped:   res.Stats.FuncsSkipped,
-			Converged: res.Stats.Converged,
-		}
-		if snap := res.Telemetry; snap != nil {
-			pt.EngineSteps = snap.Totals.Steps
-			pt.FlowPeak = snap.Totals.FlowPeak
-			pt.SSAPeak = snap.Totals.SSAPeak
-			pt.Widens = snap.Totals.Widens
-			pt.BoundaryDrops = snap.BoundaryDrops
-			pt.PassWallNs = snap.PassWallNs
-		}
-		pts = append(pts, pt)
-		if k == len(all) {
-			break
-		}
-	}
-	return pts, nil
-}
-
-// measureAnalyze runs Analyze iters times and reports the best wall-clock
-// plus the mean heap cost per run (runtime.MemStats deltas across the
-// whole batch — the binaries cannot use testing.AllocsPerRun). A GC fence
-// before each reading keeps unrelated garbage out of the deltas.
-func measureAnalyze(p *ir.Program, cfg corevrp.Config, iters int) (nsOp, allocsOp, bytesOp int64, err error) {
-	if iters < 1 {
-		iters = 1
-	}
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	best := int64(0)
-	for i := 0; i < iters; i++ {
-		start := time.Now()
-		if _, err := corevrp.Analyze(p, cfg); err != nil {
-			return 0, 0, 0, err
-		}
-		ns := time.Since(start).Nanoseconds()
-		if best == 0 || ns < best {
-			best = ns
-		}
-	}
-	runtime.ReadMemStats(&m1)
-	n := int64(iters)
-	return best, int64(m1.Mallocs-m0.Mallocs) / n, int64(m1.TotalAlloc-m0.TotalAlloc) / n, nil
 }
 
 func defaultEngineConfig(p *ir.Program) corevrp.Config {

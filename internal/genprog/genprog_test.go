@@ -131,7 +131,7 @@ func TestEditFunc(t *testing.T) {
 func TestPresetDeterminism(t *testing.T) {
 	for _, name := range genprog.PresetNames() {
 		if name == "100k" || name == "1m" {
-			continue // mega tiers are exercised by vrpbench -scale, not unit tests
+			continue // mega tiers are exercised by vrpbench -perf, not unit tests
 		}
 		t.Run(name, func(t *testing.T) {
 			cfg, ok := genprog.Preset(name)

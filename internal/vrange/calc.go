@@ -25,12 +25,6 @@ type Config struct {
 	// satisfying pairs are counted exactly (in closed form, so the limit
 	// is not a cost budget); otherwise a continuous approximation is used.
 	ExactPairLimit int64
-	// DisableIntern turns off the hash-cons table and transfer-function
-	// memoization (intern.go), restoring the allocate-per-result behavior.
-	// Results are bit-identical either way; the flag exists for the
-	// before/after comparison in BENCH_lattice.json and for the
-	// equivalence tests.
-	DisableIntern bool
 }
 
 // DefaultConfig returns the paper-faithful configuration.
@@ -47,12 +41,12 @@ func DefaultConfig() Config {
 // (range-pair evaluations) for the paper's Figure 6 instrumentation and
 // widenings (set-cap merges and give-ups to ⊥) for the telemetry layer.
 //
-// A Calc routes every produced value through its Interner (unless
-// Cfg.DisableIntern is set) and reuses internal scratch buffers, so the
-// steady state of a propagation run — evaluating expressions whose
-// operands were seen before — performs no heap allocation. A Calc is not
-// safe for concurrent use; the analysis driver creates one per function
-// run, sharing the longer-lived Interner per call-graph SCC.
+// A Calc routes every produced value through its Interner and reuses
+// internal scratch buffers, so the steady state of a propagation run —
+// evaluating expressions whose operands were seen before — performs no
+// heap allocation. A Calc is not safe for concurrent use; the analysis
+// driver creates one per function run, sharing the longer-lived Interner
+// per call-graph SCC.
 type Calc struct {
 	Cfg    Config
 	SubOps int64
@@ -75,7 +69,8 @@ type Calc struct {
 	MergeMemoHits   int64
 	MergeMemoMisses int64
 
-	// in is the hash-cons table; nil when Cfg.DisableIntern is set.
+	// in is the hash-cons table; nil only in newCalcNoIntern's
+	// allocate-per-result reference, which tests compare against.
 	in *Interner
 
 	// Scratch buffers. buf1 collects transfer-function output ranges
@@ -90,28 +85,24 @@ type Calc struct {
 }
 
 // NewCalc returns a Calc with the given configuration and a private
-// Interner (or none when cfg.DisableIntern is set).
+// Interner.
 func NewCalc(cfg Config) *Calc {
-	c := newCalcNoIntern(cfg)
-	if !cfg.DisableIntern {
-		c.in = NewInterner()
-	}
-	return c
+	return NewCalcWith(cfg, NewInterner())
 }
 
 // NewCalcWith returns a Calc sharing an existing Interner, so intern and
 // memo state persists across many short-lived Calcs (the driver keeps one
 // Interner per call-graph SCC across passes while creating a fresh Calc
-// per function run for exact per-run accounting). it may be nil; with
-// cfg.DisableIntern it is ignored.
+// per function run for exact per-run accounting).
 func NewCalcWith(cfg Config, it *Interner) *Calc {
 	c := newCalcNoIntern(cfg)
-	if !cfg.DisableIntern {
-		c.in = it
-	}
+	c.in = it
 	return c
 }
 
+// newCalcNoIntern returns a Calc without an Interner: every result is
+// allocated afresh and nothing is memoized. Results are bit-identical to
+// an interning Calc's, which the equivalence tests pin against it.
 func newCalcNoIntern(cfg Config) *Calc {
 	if cfg.MaxRanges <= 0 {
 		cfg.MaxRanges = 1
@@ -125,8 +116,8 @@ func newCalcNoIntern(cfg Config) *Calc {
 	return &Calc{Cfg: cfg}
 }
 
-// Interner exposes the calc's cons table (nil when interning is disabled),
-// for sharing via NewCalcWith and for benchmark reporting.
+// Interner exposes the calc's cons table, for sharing via NewCalcWith and
+// for benchmark reporting.
 func (c *Calc) Interner() *Interner { return c.in }
 
 // minProb drops ranges whose probability falls below this threshold during

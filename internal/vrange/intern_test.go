@@ -102,13 +102,11 @@ func TestInternSteadyStateAllocFree(t *testing.T) {
 }
 
 // TestInternDisabledBitIdentical pins the equivalence contract of
-// Config.DisableIntern: every transfer function produces bit-identical
-// values (and identical SubOps accounting) with the interner on and off.
+// interning: every transfer function produces bit-identical values (and
+// identical SubOps accounting) with the interner on and off.
 func TestInternDisabledBitIdentical(t *testing.T) {
 	on := NewCalc(DefaultConfig())
-	offCfg := DefaultConfig()
-	offCfg.DisableIntern = true
-	off := NewCalc(offCfg)
+	off := newCalcNoIntern(DefaultConfig())
 
 	mk := func(c *Calc) []Value {
 		x := c.Canonicalize(FromRanges(Range{Prob: 0.6, Lo: Num(-5), Hi: Num(20), Stride: 1},
@@ -255,9 +253,7 @@ func TestArenaEpochResetAllocFree(t *testing.T) {
 // the memo) disabled.
 func TestMergeLoopHeaderBitIdentical(t *testing.T) {
 	on := NewCalc(DefaultConfig())
-	offCfg := DefaultConfig()
-	offCfg.DisableIntern = true
-	off := NewCalc(offCfg)
+	off := newCalcNoIntern(DefaultConfig())
 
 	mkItems := func(c *Calc) []Weighted {
 		x := c.Canonicalize(FromRanges(Range{Prob: 0.7, Lo: Num(0), Hi: Num(63), Stride: 1},

@@ -768,11 +768,8 @@ func ResetInternPools() {
 }
 
 // table returns worker slot w's persistent interner, creating it on first
-// use; nil when interning is disabled.
+// use.
 func (d *driver) table(w int) *vrange.Interner {
-	if d.cfg.Range.DisableIntern {
-		return nil
-	}
 	if d.tables[w] == nil {
 		if it, _ := internPool(d.cfg.Range).Get().(*vrange.Interner); it != nil {
 			d.tables[w] = it
@@ -786,9 +783,6 @@ func (d *driver) table(w int) *vrange.Interner {
 // releaseTables hands the run's warm tables back to the config-keyed pool.
 // Must run after finishTelemetry (which reads the tables' gauges).
 func (d *driver) releaseTables() {
-	if d.cfg.Range.DisableIntern {
-		return
-	}
 	pool := internPool(d.cfg.Range)
 	for i, it := range d.tables {
 		if it == nil {
