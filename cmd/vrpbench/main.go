@@ -75,7 +75,9 @@ func run(args []string, w, errw io.Writer) int {
 			return bench.Perf(genprog.ScaleTiers())
 		})
 	case *qualityRun:
-		err = runQuality(w, *qualityOut, *qualityBase, *gate, *maxEvals)
+		err = runQuality(w, *qualityOut, *qualityBase, *gate, func() (*bench.QualityReport, error) {
+			return bench.Quality(*maxEvals)
+		})
 	case *summary:
 		var evals []*bench.ProgramEval
 		if evals, err = bench.EvalAll(bench.Variant{}); err == nil {
@@ -139,11 +141,12 @@ func writeReport(path string, v any) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// runQuality evaluates prediction quality against the interpreter and
-// writes BENCH_quality.json. With gate set, the committed baseline is
-// read before the artifact is overwritten (from basePath if given,
-// otherwise outPath) and the fresh report must not regress against it.
-func runQuality(w io.Writer, outPath, basePath string, gate bool, maxEvals int) error {
+// runQuality measures prediction quality against the interpreter and
+// writes the report to outPath. With gate set, the fresh report is gated
+// against the committed baseline (basePath if given, otherwise outPath),
+// and a failing run leaves outPath alone, as runPerf does: writing it
+// would make the regressed numbers the next run's baseline.
+func runQuality(w io.Writer, outPath, basePath string, gate bool, measure func() (*bench.QualityReport, error)) error {
 	var base bench.QualityReport
 	if gate {
 		if basePath == "" {
@@ -153,19 +156,21 @@ func runQuality(w io.Writer, outPath, basePath string, gate bool, maxEvals int) 
 			return err
 		}
 	}
-	rep, err := bench.Quality(maxEvals)
+	rep, err := measure()
 	if err != nil {
 		return err
+	}
+	bench.PrintQuality(w, rep)
+	if gate {
+		if err := bench.QualityGate(&base, rep); err != nil {
+			return fmt.Errorf("%w\n%s left unchanged", err, outPath)
+		}
 	}
 	if err := writeReport(outPath, rep); err != nil {
 		return err
 	}
-	bench.PrintQuality(w, rep)
 	fmt.Fprintf(w, "wrote %s\n", outPath)
 	if gate {
-		if err := bench.QualityGate(&base, rep); err != nil {
-			return err
-		}
 		fmt.Fprintln(w, "quality gate: ok")
 	}
 	return nil

@@ -90,3 +90,50 @@ func TestRunPerfGateKeepsBaseline(t *testing.T) {
 		})
 	}
 }
+
+// TestRunQualityGateKeepsBaseline is TestRunPerfGateKeepsBaseline for
+// the quality report: a failing quality gate leaves the committed
+// baseline alone, while a passing gate, or a run without -gate, writes
+// the fresh report.
+func TestRunQualityGateKeepsBaseline(t *testing.T) {
+	report := func(agreement float64) *bench.QualityReport {
+		return &bench.QualityReport{Schema: bench.QualitySchema, Suites: []bench.QualitySuite{
+			{Suite: "gen-default", Programs: 1, Branches: 100, AgreementPct: agreement},
+		}}
+	}
+	cases := []struct {
+		name      string
+		agreement float64
+		gate      bool
+		err       string // substring of the error; "" = success
+		wrote     bool
+	}{
+		{name: "regression fails and keeps the baseline", agreement: 50, gate: true, err: "left unchanged"},
+		{name: "passing gate writes", agreement: 91, gate: true, wrote: true},
+		{name: "no gate writes", agreement: 50, wrote: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "BENCH_quality.json")
+			if err := writeReport(path, report(90)); err != nil {
+				t.Fatal(err)
+			}
+			before, _ := os.ReadFile(path)
+			var out strings.Builder
+			err := runQuality(&out, path, "", tc.gate, func() (*bench.QualityReport, error) { return report(tc.agreement), nil })
+			switch {
+			case tc.err == "" && err != nil:
+				t.Fatalf("runQuality: %v", err)
+			case tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)):
+				t.Fatalf("runQuality error %v, want one containing %q", err, tc.err)
+			}
+			if !strings.Contains(out.String(), "Prediction quality") {
+				t.Errorf("no table printed: %q", out.String())
+			}
+			after, _ := os.ReadFile(path)
+			if changed := string(after) != string(before); changed != tc.wrote {
+				t.Errorf("report rewritten = %v, want %v", changed, tc.wrote)
+			}
+		})
+	}
+}

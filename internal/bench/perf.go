@@ -26,7 +26,7 @@ import (
 // the same run.
 
 // PerfSchema identifies the BENCH_perf.json format (EXPERIMENTS.md).
-const PerfSchema = "vrp-perf/v1"
+const PerfSchema = "vrp-perf/v2"
 
 // perfRounds is the number of timed rounds. Each visits every point once,
 // after one untimed warm-up round.
@@ -68,20 +68,6 @@ type PerfPoint struct {
 
 	Passes    int  `json:"passes"`
 	Converged bool `json:"converged"`
-
-	// Counters of the instrumented warm-up run, on cold intern tables so
-	// they describe this program alone. ArenaBytes is the slab footprint
-	// backing the interned representatives; ConfirmSkipRate is the
-	// fraction of cons-table lookups resolved without a range-by-range
-	// confirm walk; the merge-memo counters cover the loop-header φ memo.
-	InternHits      int64   `json:"intern_hits"`
-	InternMisses    int64   `json:"intern_misses"`
-	MemoHits        int64   `json:"memo_hits"`
-	MemoMisses      int64   `json:"memo_misses"`
-	ArenaBytes      int64   `json:"arena_bytes"`
-	ConfirmSkipRate float64 `json:"confirm_skip_rate"`
-	MergeMemoHits   int64   `json:"merge_memo_hits"`
-	MergeMemoMisses int64   `json:"merge_memo_misses"`
 }
 
 // PerfReport is the machine-readable content of BENCH_perf.json.
@@ -136,9 +122,8 @@ type perfSample struct {
 // run compiles and analyzes the target once under the sequential
 // schedule (Workers: 1, so the MemStats deltas count one engine's
 // allocations and the time measures the analysis, not scheduling luck).
-// A GC fence keeps earlier garbage out of the deltas and the peak. tel,
-// when non-nil, instruments the analysis.
-func (t perfTarget) run(tel *telemetry.Recorder) (perfSample, *corevrp.Result, error) {
+// A GC fence keeps earlier garbage out of the deltas and the peak.
+func (t perfTarget) run() (perfSample, *corevrp.Result, error) {
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -151,7 +136,6 @@ func (t perfTarget) run(tel *telemetry.Recorder) (perfSample, *corevrp.Result, e
 		sp := tr.Start(telemetry.NoSpan, "phase", "vrp")
 		cfg := defaultEngineConfig(p)
 		cfg.Workers = 1
-		cfg.Telemetry = tel
 		res, err = corevrp.Analyze(p, cfg)
 		tr.End(sp)
 	}
@@ -181,8 +165,8 @@ func (t perfTarget) run(tel *telemetry.Recorder) (perfSample, *corevrp.Result, e
 }
 
 // Perf measures the merged corpus points and the given generated tiers.
-// The warm-up round runs each point once, instrumented and on cold intern
-// tables, for the structural columns and counters. The perfRounds timed
+// The warm-up round runs each point once for the structural columns
+// (size, passes, convergence). The perfRounds timed
 // rounds then visit every point in turn, so slow machine-state drift
 // spreads over all points instead of landing on whichever ran during it.
 func Perf(tiers []genprog.Tier) (*PerfReport, error) {
@@ -190,12 +174,12 @@ func Perf(tiers []genprog.Tier) (*PerfReport, error) {
 	rep := &PerfReport{Schema: PerfSchema, GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Rounds: perfRounds, Points: make([]PerfPoint, len(targets))}
 	for i, t := range targets {
-		corevrp.ResetInternPools()
-		s, res, err := t.run(telemetry.New())
+		s, res, err := t.run()
 		if err != nil {
 			return nil, err
 		}
-		rep.Points[i] = warmPoint(t.name, s, res)
+		rep.Points[i] = PerfPoint{Name: t.name, Instrs: s.instrs, Funcs: s.funcs,
+			Passes: res.Stats.Passes, Converged: res.Stats.Converged}
 	}
 	type series struct {
 		ns, allocs, bytes []float64
@@ -204,7 +188,7 @@ func Perf(tiers []genprog.Tier) (*PerfReport, error) {
 	all := make([]series, len(targets))
 	for r := 0; r < perfRounds; r++ {
 		for i, t := range targets {
-			s, _, err := t.run(nil)
+			s, _, err := t.run()
 			if err != nil {
 				return nil, err
 			}
@@ -234,31 +218,6 @@ func Perf(tiers []genprog.Tier) (*PerfReport, error) {
 		}
 	}
 	return rep, nil
-}
-
-// warmPoint fills a point's structural columns and counters from the
-// instrumented warm-up run.
-func warmPoint(name string, s perfSample, res *corevrp.Result) PerfPoint {
-	pt := PerfPoint{
-		Name:      name,
-		Instrs:    s.instrs,
-		Funcs:     s.funcs,
-		Passes:    res.Stats.Passes,
-		Converged: res.Stats.Converged,
-	}
-	if snap := res.Telemetry; snap != nil {
-		pt.InternHits = snap.Totals.InternHits
-		pt.InternMisses = snap.Totals.InternMiss
-		pt.MemoHits = snap.Totals.MemoHits
-		pt.MemoMisses = snap.Totals.MemoMisses
-		pt.ArenaBytes = snap.InternArenaBytes
-		pt.MergeMemoHits = snap.Totals.MergeMemoHits
-		pt.MergeMemoMisses = snap.Totals.MergeMemoMiss
-		if lookups := snap.Totals.InternHits + snap.Totals.InternMiss; lookups > 0 {
-			pt.ConfirmSkipRate = float64(snap.Totals.ConfirmSkips) / float64(lookups)
-		}
-	}
-	return pt
 }
 
 // quartiles returns the first quartile, median and third quartile of xs,
@@ -329,19 +288,19 @@ func PerfGate(base, cur *PerfReport) error {
 func PrintPerf(w io.Writer, rep *PerfReport) {
 	fmt.Fprintf(w, "perf ledger (sequential compile+analyze, median of %d rounds, GOMAXPROCS %d):\n",
 		rep.Rounds, rep.GOMAXPROCS)
-	fmt.Fprintf(w, "  %-10s %8s %6s %10s %8s %8s %8s %10s %11s %12s %8s %6s %5s %10s %9s\n",
+	fmt.Fprintf(w, "  %-10s %8s %6s %10s %8s %8s %8s %10s %11s %12s %8s %6s %5s\n",
 		"point", "instrs", "funcs", "ns/instr", "iqr", "parse", "ssa", "vrp",
-		"allocs/in", "bytes/in", "peakMB", "passes", "conv", "intern-hit", "memo-hit")
+		"allocs/in", "bytes/in", "peakMB", "passes", "conv")
 	for _, p := range rep.Points {
 		conv := "yes"
 		if !p.Converged {
 			conv = "NO"
 		}
-		fmt.Fprintf(w, "  %-10s %8d %6d %10.1f %8.1f %8.1f %8.1f %10.1f %11.2f %12.1f %8.1f %6d %5s %10d %9d\n",
+		fmt.Fprintf(w, "  %-10s %8d %6d %10.1f %8.1f %8.1f %8.1f %10.1f %11.2f %12.1f %8.1f %6d %5s\n",
 			p.Name, p.Instrs, p.Funcs, p.NsPerInstr, p.NsPerInstrIQR,
 			p.PhaseNsPerInstr["parse"], p.PhaseNsPerInstr["ssa"], p.PhaseNsPerInstr["vrp"],
 			p.AllocsPerInstr, p.BytesPerInstr, float64(p.PeakHeapBytes)/(1<<20),
-			p.Passes, conv, p.InternHits, p.MemoHits)
+			p.Passes, conv)
 	}
 }
 

@@ -26,8 +26,8 @@ func benchAnalyze(b *testing.B, p *ir.Program) {
 	}
 }
 
-// BenchmarkMergedAnalyzeIntern analyzes the full merged corpus.
-func BenchmarkMergedAnalyzeIntern(b *testing.B) {
+// BenchmarkMergedAnalyze analyzes the full merged corpus.
+func BenchmarkMergedAnalyze(b *testing.B) {
 	merged, err := mergedProgram(corpus.All(), nil)
 	if err != nil {
 		b.Fatal(err)
@@ -35,8 +35,8 @@ func BenchmarkMergedAnalyzeIntern(b *testing.B) {
 	benchAnalyze(b, merged)
 }
 
-// BenchmarkGenAnalyzeIntern analyzes the default generated program.
-func BenchmarkGenAnalyzeIntern(b *testing.B) {
+// BenchmarkGenAnalyze analyzes the default generated program.
+func BenchmarkGenAnalyze(b *testing.B) {
 	p, err := vrp.Compile("gen.mini", genprog.Source(genprog.Default()))
 	if err != nil {
 		b.Fatal(err)

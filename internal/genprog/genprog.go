@@ -1,9 +1,8 @@
 // Package genprog deterministically generates large synthetic Mini
 // programs for benchmarking the analysis at sizes the hand-written corpus
 // does not reach. The hand corpus tops out under 5k IR instructions; the
-// lattice and scaling benchmarks need a ≥10k-instruction tier to show
-// whether the interner's wall-time win survives table sizes that no
-// longer fit comfortably in cache.
+// perf ledger's scaling gate needs ≥10k-instruction tiers to show that
+// the analysis stays near-linear as programs outgrow the cache.
 //
 // The generated shape is deliberately adversarial for the range lattice:
 //

@@ -13,10 +13,9 @@ import (
 // never change what a client observes, only how fast it arrives.
 //
 // The fingerprint only locates the entry; every hit is confirmed by
-// comparing the stored source bytes against the request's (the same
-// discipline the interner applies with BitEqual). A 64-bit fingerprint
-// collision — two different programs, one digest — is therefore a
-// counted miss, never another program's analysis. On a colliding put
+// comparing the stored source bytes against the request's. A 64-bit
+// fingerprint collision — two different programs, one digest — is
+// therefore a counted miss, never another program's analysis. On a colliding put
 // the newer program takes the slot: with no confirm-failure history to
 // arbitrate, recency is the only signal available, and either choice is
 // correct (the loser simply keeps re-analyzing).

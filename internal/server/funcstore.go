@@ -15,7 +15,7 @@ import (
 // function of a program the store has seen re-analyzes only the dirty
 // cone and splices everything else.
 //
-// Collision discipline matches the result cache and the interner: the
+// Collision discipline matches the result cache: the
 // fingerprint triple only locates a bucket, and every candidate is
 // confirmed with FuncKey.SameKey (body bytes, callee-name binding,
 // bit-equal input values) before it is served. True fingerprint

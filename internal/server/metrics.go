@@ -17,8 +17,8 @@ import (
 //
 // The lattice group mirrors the telemetry.RunMetrics aggregates of every
 // completed analysis, so one scrape shows the lattice-level health of
-// live traffic — a regression that makes the engine widen more, intern
-// worse, or stop converging shows up on a dashboard before it shows up
+// live traffic — a regression that makes the engine widen more or stop
+// converging shows up on a dashboard before it shows up
 // in latency.
 type serverMetrics struct {
 	reg *metrics.Registry
@@ -61,20 +61,9 @@ type serverMetrics struct {
 	latDeriveHit  *metrics.Counter // vrpd_lattice_derive_hits_total
 	latDeriveMiss *metrics.Counter // vrpd_lattice_derive_misses_total
 	latBoundary   *metrics.Counter // vrpd_lattice_boundary_drops_total
-	internHits    *metrics.Counter // vrpd_lattice_intern_hits_total
-	internMisses  *metrics.Counter // vrpd_lattice_intern_misses_total
-	memoHits      *metrics.Counter // vrpd_lattice_memo_hits_total
-	memoMisses    *metrics.Counter // vrpd_lattice_memo_misses_total
 	funcsRun      *metrics.Counter // vrpd_lattice_funcs_analyzed_total
 	funcsSkipped  *metrics.Counter // vrpd_lattice_funcs_skipped_total
 	funcsDegraded *metrics.Counter // vrpd_lattice_funcs_degraded_total
-
-	// Interner economics of the most recent analysis (gauges: live-entry
-	// and arena footprints are states, not flows) plus the cumulative
-	// epoch-eviction count.
-	internLive      *metrics.Gauge // vrpd_lattice_intern_live_entries
-	internArena     *metrics.Gauge // vrpd_lattice_intern_arena_bytes
-	internEvictions *metrics.Gauge // vrpd_lattice_intern_evictions_total
 
 	// Per-phase latency, derived from each request's span tree — the
 	// histograms and /debug/vrpd/trace/{id} are two views of the same
@@ -218,17 +207,9 @@ func newServerMetrics(start time.Time, sloTarget float64) *serverMetrics {
 		latDeriveHit:  reg.Counter("vrpd_lattice_derive_hits_total", "Loop phis matched by a derivation template."),
 		latDeriveMiss: reg.Counter("vrpd_lattice_derive_misses_total", "Derivation attempts that fell back to brute force."),
 		latBoundary:   reg.Counter("vrpd_lattice_boundary_drops_total", "Symbolic values collapsed to bottom crossing a function boundary."),
-		internHits:    reg.Counter("vrpd_lattice_intern_hits_total", "Hash-cons lookups that found an existing representative."),
-		internMisses:  reg.Counter("vrpd_lattice_intern_misses_total", "Hash-cons lookups that created a new representative."),
-		memoHits:      reg.Counter("vrpd_lattice_memo_hits_total", "Transfer-function memo hits."),
-		memoMisses:    reg.Counter("vrpd_lattice_memo_misses_total", "Transfer-function recomputations."),
 		funcsRun:      reg.Counter("vrpd_lattice_funcs_analyzed_total", "Per-function engine runs across all analyses."),
 		funcsSkipped:  reg.Counter("vrpd_lattice_funcs_skipped_total", "Engine runs elided by the driver's dirty-set skip."),
 		funcsDegraded: reg.Counter("vrpd_lattice_funcs_degraded_total", "Engine runs degraded to the bottom/heuristic fallback."),
-
-		internLive:      reg.Gauge("vrpd_lattice_intern_live_entries", "Live hash-cons representatives in the last analysis's tables (pooled tables carry entries across runs)."),
-		internArena:     reg.Gauge("vrpd_lattice_intern_arena_bytes", "Arena slab bytes backing interned representatives in the last analysis's tables."),
-		internEvictions: reg.Gauge("vrpd_lattice_intern_evictions_total", "Lifetime memo/table entries evicted by epoch resets in the last analysis's tables."),
 	}
 
 	// Per-phase latency histograms share the request-latency buckets; the
@@ -296,10 +277,6 @@ func newServerMetrics(start time.Time, sloTarget float64) *serverMetrics {
 
 	// Scrape-time ratios, derived from the raw counters so they can never
 	// drift from them.
-	reg.GaugeFunc("vrpd_lattice_intern_hit_ratio", "Hash-cons hit ratio over all analyses (0 before any intern traffic).",
-		func() float64 { return ratio(m.internHits.Value(), m.internMisses.Value()) })
-	reg.GaugeFunc("vrpd_lattice_memo_hit_ratio", "Transfer-function memo hit ratio over all analyses.",
-		func() float64 { return ratio(m.memoHits.Value(), m.memoMisses.Value()) })
 	reg.GaugeFunc("vrpd_cache_hit_ratio", "Result-cache hit ratio over cacheable requests.",
 		func() float64 { return ratio(m.cacheHits.Value(), m.cacheMisses.Value()) })
 	reg.GaugeFunc("vrpd_funcstore_hit_ratio", "Per-function store hit ratio over all lookups.",
@@ -334,16 +311,9 @@ func (m *serverMetrics) observeSnapshot(s *telemetry.Snapshot) {
 	m.latDeriveHit.Add(t.DeriveHits)
 	m.latDeriveMiss.Add(t.DeriveMiss)
 	m.latBoundary.Add(s.BoundaryDrops)
-	m.internHits.Add(t.InternHits)
-	m.internMisses.Add(t.InternMiss)
-	m.memoHits.Add(t.MemoHits)
-	m.memoMisses.Add(t.MemoMisses)
 	m.funcsRun.Add(t.Runs)
 	m.funcsSkipped.Add(t.Skips)
 	m.funcsDegraded.Add(t.Degraded)
-	m.internLive.Set(float64(s.InternLive))
-	m.internArena.Set(float64(s.InternArenaBytes))
-	m.internEvictions.Set(float64(s.InternEvictions))
 	m.passes.Observe(float64(s.Passes))
 
 	if q := s.Quality; q != nil {

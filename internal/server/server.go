@@ -47,8 +47,8 @@
 //     the dirty cone — bit-identical to a cold analysis.
 //   - Every analysis runs with telemetry enabled and its RunMetrics
 //     aggregates are folded into the /metrics registry, so a scrape
-//     shows lattice-level health (steps, φ-merges, widens, intern and
-//     memo hit rates, convergence) of live traffic.
+//     shows lattice-level health (steps, φ-merges, widens, convergence)
+//     of live traffic.
 //   - Shutdown flips /readyz to 503 and drains in-flight requests.
 package server
 
@@ -567,8 +567,7 @@ func (s *Server) finishAnalyze(ctx context.Context, tr *telemetry.Trace, root te
 // testHookHashSource, when non-nil, may override the response-cache
 // fingerprint of a source. Test-only: the collision tests force two
 // different programs onto one digest to prove the source-equality
-// confirm serves a fresh analysis rather than the colliding body
-// (mirroring vrange's testFingerprintHook).
+// confirm serves a fresh analysis rather than the colliding body.
 var testHookHashSource func(src []byte) (uint64, bool)
 
 func hashSource(src []byte) uint64 {

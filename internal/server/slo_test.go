@@ -152,8 +152,6 @@ func TestBuildInfoAndRatioExposition(t *testing.T) {
 	for _, g := range []string{
 		"vrpd_cache_hit_ratio",
 		"vrpd_funcstore_hit_ratio",
-		"vrpd_lattice_intern_hit_ratio",
-		"vrpd_lattice_memo_hit_ratio",
 	} {
 		v, ok := m[g]
 		if !ok {

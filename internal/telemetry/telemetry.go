@@ -16,10 +16,8 @@
 //     that function (the same discipline the driver uses for results and
 //     diagnostics) and flattened in function index order, never in
 //     completion order. The nondeterministic data are the wall-clock
-//     fields and the lattice table-warmth counters (per-worker intern
-//     tables make hit/miss traffic depend on the work-stealing schedule);
-//     Snapshot.Canon zeroes both so tests can compare everything else
-//     with reflect.DeepEqual.
+//     fields; Snapshot.Canon zeroes them so tests can compare everything
+//     else with reflect.DeepEqual.
 //
 // The package deliberately depends on the standard library only: the
 // driver translates IR-level observations (range widths, diagnostics)
@@ -53,33 +51,6 @@ type RunMetrics struct {
 	// π-refinements that strictly narrowed their parent value.
 	PhiHulls       int64
 	AssertTightens int64
-
-	// Hash-cons and memo traffic of the run's range calculator: intern
-	// table lookups that found an existing representative vs. created one,
-	// transfer-function memo hits vs. recomputations, intern lookups that
-	// needed no range-walk confirm, and loop-header φ merge-memo traffic.
-	// Unlike every other counter these are table-warmth measurements, so
-	// they depend on which worker's table served the lookup: Canon zeroes
-	// them (see Snapshot.Canon).
-	InternHits    int64
-	InternMiss    int64
-	MemoHits      int64
-	MemoMisses    int64
-	ConfirmSkips  int64
-	MergeMemoHits int64
-	MergeMemoMiss int64
-}
-
-// LatticeCounters carries the range calculator's per-run table traffic
-// into AddLattice without a long positional parameter list.
-type LatticeCounters struct {
-	InternHits    int64
-	InternMiss    int64
-	MemoHits      int64
-	MemoMisses    int64
-	ConfirmSkips  int64
-	MergeMemoHits int64
-	MergeMemoMiss int64
 }
 
 // PushFlow records a CFG worklist insertion at the given queue depth.
@@ -149,21 +120,6 @@ func (m *RunMetrics) AssertTighten() {
 	}
 }
 
-// AddLattice folds the range calculator's hash-cons and memo counters
-// into the run.
-func (m *RunMetrics) AddLattice(lc LatticeCounters) {
-	if m == nil {
-		return
-	}
-	m.InternHits += lc.InternHits
-	m.InternMiss += lc.InternMiss
-	m.MemoHits += lc.MemoHits
-	m.MemoMisses += lc.MemoMisses
-	m.ConfirmSkips += lc.ConfirmSkips
-	m.MergeMemoHits += lc.MergeMemoHits
-	m.MergeMemoMiss += lc.MergeMemoMiss
-}
-
 // FuncMetrics aggregates every run of one function across all passes.
 // Counter fields add; peak fields take the maximum over runs.
 type FuncMetrics struct {
@@ -172,6 +128,17 @@ type FuncMetrics struct {
 	Skips    int64  // cache-skip hits (bit-identical inputs, run elided)
 	Degraded int64  // runs replaced by the ⊥/heuristic fallback
 	RunMetrics
+
+	// Always zero: the range calculator no longer interns or memoizes.
+	// perfbench (the repository's end-to-end benchmark) is their only
+	// reader, together with Snapshot.InternLive; they go with its next
+	// change.
+	InternHits    int64 `json:"-"`
+	InternMiss    int64 `json:"-"`
+	MemoHits      int64 `json:"-"`
+	MemoMisses    int64 `json:"-"`
+	MergeMemoHits int64 `json:"-"`
+	MergeMemoMiss int64 `json:"-"`
 }
 
 // fold accumulates one run into the aggregate.
@@ -193,13 +160,6 @@ func (f *FuncMetrics) fold(m *RunMetrics) {
 	f.Asserts += m.Asserts
 	f.PhiHulls += m.PhiHulls
 	f.AssertTightens += m.AssertTightens
-	f.InternHits += m.InternHits
-	f.InternMiss += m.InternMiss
-	f.MemoHits += m.MemoHits
-	f.MemoMisses += m.MemoMisses
-	f.ConfirmSkips += m.ConfirmSkips
-	f.MergeMemoHits += m.MergeMemoHits
-	f.MergeMemoMiss += m.MergeMemoMiss
 }
 
 // addTotals accumulates another aggregate (for the snapshot's Totals row).
@@ -223,13 +183,6 @@ func (f *FuncMetrics) addTotals(o *FuncMetrics) {
 	f.Asserts += o.Asserts
 	f.PhiHulls += o.PhiHulls
 	f.AssertTightens += o.AssertTightens
-	f.InternHits += o.InternHits
-	f.InternMiss += o.InternMiss
-	f.MemoHits += o.MemoHits
-	f.MemoMisses += o.MemoMisses
-	f.ConfirmSkips += o.ConfirmSkips
-	f.MergeMemoHits += o.MergeMemoHits
-	f.MergeMemoMiss += o.MergeMemoMiss
 }
 
 // Histogram is a labelled counter vector. Labels are fixed at creation;
@@ -335,8 +288,8 @@ func (r *Recorder) EndPass(startNs int64) {
 }
 
 // Snapshot is the aggregated result of a run. All fields except the
-// wall-clock ones (WallNs, PassWallNs) and the table-warmth counters
-// Canon zeroes are deterministic: identical for every worker count.
+// wall-clock ones (WallNs, PassWallNs) are deterministic: identical for
+// every worker count.
 type Snapshot struct {
 	// Funcs holds per-function aggregates in call-graph index order.
 	Funcs []FuncMetrics `json:"funcs"`
@@ -354,14 +307,9 @@ type Snapshot struct {
 	// precision lost to the single-ancestor representation.
 	BoundaryDrops int64 `json:"boundary_drops"`
 
-	// Interner state at the end of the run, summed over the driver's
-	// per-worker cons tables: live distinct values, arena slab footprint,
-	// and entries dropped by memo epoch evictions. Like the intern/memo
-	// traffic counters these depend on the work-stealing schedule (which
-	// worker's table absorbed which SCC), so Canon zeroes them.
-	InternLive       int64 `json:"intern_live"`
-	InternArenaBytes int64 `json:"intern_arena_bytes"`
-	InternEvictions  int64 `json:"intern_evictions"`
+	// InternLive is always zero, like FuncMetrics.InternHits and its
+	// siblings, and read only by perfbench.
+	InternLive int64 `json:"-"`
 
 	// RangeSetSize buckets every final register value by lattice level
 	// and range-set cardinality; RangeSpan buckets Set values by their
@@ -395,26 +343,11 @@ func (r *Recorder) Snapshot() *Snapshot {
 	return s
 }
 
-// Canon returns a deep copy with every schedule-dependent field zeroed,
-// leaving exactly the data that must be bit-identical across worker
-// counts: the wall-clock fields, and the lattice table-warmth counters
-// (intern/memo hit-miss traffic, confirm skips, merge-memo traffic, and
-// the end-of-run interner state). The latter became schedule-dependent
-// when intern tables moved from per-SCC to per-worker ownership: with
-// work stealing, which table serves a lookup — and therefore whether it
-// hits — depends on the schedule. Analysis results, Stats, and every
-// other counter remain bit-identical: interning only dedups bit-equal
-// values and the memos replay their counter deltas exactly.
+// Canon returns a deep copy with the wall-clock fields zeroed, leaving
+// exactly the data that must be bit-identical across worker counts.
 func (s *Snapshot) Canon() *Snapshot {
 	c := *s
 	c.Funcs = append([]FuncMetrics(nil), s.Funcs...)
-	for i := range c.Funcs {
-		zeroLattice(&c.Funcs[i])
-	}
-	zeroLattice(&c.Totals)
-	c.InternLive = 0
-	c.InternArenaBytes = 0
-	c.InternEvictions = 0
 	c.WallNs = 0
 	c.PassWallNs = make([]int64, len(s.PassWallNs))
 	c.RangeSetSize = s.RangeSetSize.clone()
@@ -422,17 +355,6 @@ func (s *Snapshot) Canon() *Snapshot {
 	c.PassRuns = s.PassRuns.clone()
 	c.Quality = s.Quality.clone()
 	return &c
-}
-
-// zeroLattice clears the table-warmth counters Canon must not compare.
-func zeroLattice(f *FuncMetrics) {
-	f.InternHits = 0
-	f.InternMiss = 0
-	f.MemoHits = 0
-	f.MemoMisses = 0
-	f.ConfirmSkips = 0
-	f.MergeMemoHits = 0
-	f.MergeMemoMiss = 0
 }
 
 func (h *Histogram) clone() *Histogram {
@@ -456,12 +378,6 @@ func (s *Snapshot) Summary() string {
 		t.Steps, t.FlowPushes, t.FlowPeak, t.SSAPushes, t.SSAPeak)
 	fmt.Fprintf(&b, "  lattice: phi-merges=%d widens=%d asserts=%d derive-hits=%d derive-misses=%d boundary-drops=%d\n",
 		t.PhiMerges, t.Widens, t.Asserts, t.DeriveHits, t.DeriveMiss, s.BoundaryDrops)
-	fmt.Fprintf(&b, "  interning: intern-hits=%d intern-misses=%d memo-hits=%d memo-misses=%d confirm-skips=%d merge-memo=%d/%d\n",
-		t.InternHits, t.InternMiss, t.MemoHits, t.MemoMisses, t.ConfirmSkips, t.MergeMemoHits, t.MergeMemoMiss)
-	if s.InternLive > 0 || s.InternEvictions > 0 {
-		fmt.Fprintf(&b, "  interner: live=%d arena-bytes=%d evictions=%d\n",
-			s.InternLive, s.InternArenaBytes, s.InternEvictions)
-	}
 	fmt.Fprintf(&b, "  driver: runs=%d skips=%d degraded=%d\n", t.Runs, t.Skips, t.Degraded)
 	for _, h := range []*Histogram{s.RangeSetSize, s.RangeSpan, s.PassRuns} {
 		if h != nil && h.Total() > 0 {

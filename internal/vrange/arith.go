@@ -1,23 +1,12 @@
 package vrange
 
 import (
-	"math"
-
 	"vrp/internal/ir"
 )
 
 // Apply evaluates a binary operator over two values, dispatching to the
-// arithmetic or comparison implementation. Applications over interned
-// operands are memoized (keyed on the operand ids and the operator), so a
-// fixpoint re-evaluating the same expression returns the cached interned
-// result without touching the range algebra.
+// arithmetic or comparison implementation.
 func (c *Calc) Apply(op ir.BinOp, a, b Value) Value {
-	return c.memoized(uint32(op), a, b, func() Value {
-		return c.applyUncached(op, a, b)
-	})
-}
-
-func (c *Calc) applyUncached(op ir.BinOp, a, b Value) Value {
 	if op.IsComparison() {
 		return c.Compare(op, a, b)
 	}
@@ -40,7 +29,7 @@ func (c *Calc) applyUncached(op ir.BinOp, a, b Value) Value {
 // sub-operations per expression evaluation, the cost model of §4 — for
 // pair functions producing exactly one range: its probability is the
 // product of the pair probabilities. Output accumulates in the calc's
-// scratch buffer; Canonicalize interns the result out of it.
+// scratch buffer; Canonicalize copies the result out of it.
 func (c *Calc) binary1(a, b Value, f func(x, y Range) (Range, bool)) Value {
 	if a.IsTop() || b.IsTop() {
 		return TopValue()
@@ -321,17 +310,11 @@ func appendFullMod(dst []Range, k int64) []Range {
 	)
 }
 
-// Neg evaluates unary minus (memoized; TopValue is the unary b sentinel).
+// Neg evaluates unary minus.
 func (c *Calc) Neg(v Value) Value {
 	if v.Kind() != Set {
 		return v
 	}
-	return c.memoized(memoOpNeg, v, TopValue(), func() Value {
-		return c.negUncached(v)
-	})
-}
-
-func (c *Calc) negUncached(v Value) Value {
 	rs := c.buf1[:0]
 	for _, r := range v.Ranges {
 		c.SubOps++
@@ -356,18 +339,17 @@ func (c *Calc) Not(v Value) Value {
 	if v.Kind() != Set {
 		return v
 	}
-	return c.memoized(memoOpNot, v, TopValue(), func() Value {
-		p, ok := c.ProbTrue(v)
-		if !ok {
-			return BottomValue()
-		}
-		return c.Bool(1 - p)
-	})
+	p, ok := c.ProbTrue(v)
+	if !ok {
+		return BottomValue()
+	}
+	return c.Bool(1 - p)
 }
 
 // Bool builds the weighted 0/1 value {p[1:1:0], (1-p)[0:0:0]}, the result
 // shape of every comparison. The shape is canonical by construction
-// (sorted points, probabilities summing to one), so it interns directly.
+// (sorted points, probabilities summing to one), so it skips
+// Canonicalize.
 func (c *Calc) Bool(p float64) Value {
 	if p < 0 {
 		p = 0
@@ -375,18 +357,12 @@ func (c *Calc) Bool(p float64) Value {
 	if p > 1 {
 		p = 1
 	}
-	if q := 1 - p; c.in != nil && p >= minProb && q >= minProb {
-		// Both points survive: the exact two-point boolean shape, served
-		// straight from the interner's content-keyed table.
-		return c.in.internBool(boolKey{q: math.Float64bits(q), p: math.Float64bits(p)},
-			&c.InternHits, &c.InternMisses, &c.ConfirmSkips)
-	}
-	rs := c.small[:0]
+	rs := make([]Range, 0, 2)
 	if 1-p >= minProb {
 		rs = append(rs, Point(1-p, Num(0)))
 	}
 	if p >= minProb {
 		rs = append(rs, Point(p, Num(1)))
 	}
-	return c.intern(Value{kind: Set, Ranges: rs})
+	return Value{kind: Set, Ranges: rs}
 }

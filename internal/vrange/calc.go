@@ -2,6 +2,7 @@ package vrange
 
 import (
 	"math"
+	"slices"
 )
 
 // Config tunes the range algebra. The defaults mirror the paper: four
@@ -41,12 +42,11 @@ func DefaultConfig() Config {
 // (range-pair evaluations) for the paper's Figure 6 instrumentation and
 // widenings (set-cap merges and give-ups to ⊥) for the telemetry layer.
 //
-// A Calc routes every produced value through its Interner and reuses
-// internal scratch buffers, so the steady state of a propagation run —
-// evaluating expressions whose operands were seen before — performs no
-// heap allocation. A Calc is not safe for concurrent use; the analysis
-// driver creates one per function run, sharing the longer-lived Interner
-// per call-graph SCC.
+// Transfer functions build their ranges in internal scratch buffers and
+// copy the final set into a fresh allocation, so no returned value aliases
+// the Calc. Values are never written after construction. A Calc is not
+// safe for concurrent use; the analysis driver creates one per function
+// run.
 type Calc struct {
 	Cfg    Config
 	SubOps int64
@@ -56,54 +56,15 @@ type Calc struct {
 	// allocates.
 	Widens int64
 
-	// Intern and memo traffic of this Calc's lifetime (one engine run in
-	// the driver), folded into telemetry by the caller. ConfirmSkips
-	// counts intern lookups resolved without a range-by-range confirm walk
-	// (exact-key fast tables and empty-slot misses); MergeMemoHits/Misses
-	// count the loop-header φ merge memo.
-	InternHits      int64
-	InternMisses    int64
-	MemoHits        int64
-	MemoMisses      int64
-	ConfirmSkips    int64
-	MergeMemoHits   int64
-	MergeMemoMisses int64
-
-	// in is the hash-cons table; nil only in newCalcNoIntern's
-	// allocate-per-result reference, which tests compare against.
-	in *Interner
-
 	// Scratch buffers. buf1 collects transfer-function output ranges
 	// (binary, Merge, Refine, Neg); buf2 is Canonicalize's working set
 	// (Canonicalize nests inside the buf1 users, so the two never alias).
-	// small backs the 1–2 range constructors (ConstVal, Bool). Interning
-	// copies ranges out of scratch on a table miss, so no returned value
-	// ever aliases these buffers.
-	buf1  []Range
-	buf2  []Range
-	small [2]Range
+	buf1 []Range
+	buf2 []Range
 }
 
-// NewCalc returns a Calc with the given configuration and a private
-// Interner.
+// NewCalc returns a Calc with the given configuration.
 func NewCalc(cfg Config) *Calc {
-	return NewCalcWith(cfg, NewInterner())
-}
-
-// NewCalcWith returns a Calc sharing an existing Interner, so intern and
-// memo state persists across many short-lived Calcs (the driver keeps one
-// Interner per call-graph SCC across passes while creating a fresh Calc
-// per function run for exact per-run accounting).
-func NewCalcWith(cfg Config, it *Interner) *Calc {
-	c := newCalcNoIntern(cfg)
-	c.in = it
-	return c
-}
-
-// newCalcNoIntern returns a Calc without an Interner: every result is
-// allocated afresh and nothing is memoized. Results are bit-identical to
-// an interning Calc's, which the equivalence tests pin against it.
-func newCalcNoIntern(cfg Config) *Calc {
 	if cfg.MaxRanges <= 0 {
 		cfg.MaxRanges = 1
 	}
@@ -116,28 +77,17 @@ func newCalcNoIntern(cfg Config) *Calc {
 	return &Calc{Cfg: cfg}
 }
 
-// Interner exposes the calc's cons table, for sharing via NewCalcWith and
-// for benchmark reporting.
-func (c *Calc) Interner() *Interner { return c.in }
-
 // minProb drops ranges whose probability falls below this threshold during
 // canonicalization; they cannot influence a prediction at the precision
 // the experiments report.
 const minProb = 1e-9
 
-// Canonicalize sorts, deduplicates, caps and renormalizes a Set value,
-// then interns the result. Values of other kinds pass through. If the
+// Canonicalize sorts, deduplicates, caps and renormalizes a Set value into
+// a freshly allocated result. Values of other kinds pass through. If the
 // range set cannot be reduced to MaxRanges (incompatible symbolic ranges),
 // the result is ⊥ — the paper's give-up point.
-//
-// An already-interned value is returned unchanged: only canonical values
-// are interned, and Canonicalize is idempotent on canonical input, so the
-// id doubles as a "known canonical" mark.
 func (c *Calc) Canonicalize(v Value) Value {
 	if v.kind != Set {
-		return v
-	}
-	if v.id != 0 && v.id != idInfeasible {
 		return v
 	}
 	rs := c.buf2[:0]
@@ -160,23 +110,12 @@ func (c *Calc) Canonicalize(v Value) Value {
 		}
 	}
 	sortRangesStable(rs)
-	// Merge identical ranges, accumulating the cons-table fingerprint over
-	// the emitted ranges as they become final (fused hashing). In the
-	// common case — no duplicate merges, no cap merges — the walk below is
-	// the only pass over the final ranges; the probabilities are final here
-	// because renormalization already ran. A merge mutates an emitted
-	// range, so it forces a recompute of the digest at the end.
-	hashing := c.in != nil
-	h := fpInit
+	// Merge identical ranges.
 	out := rs[:0]
 	for _, r := range rs {
 		if n := len(out); n > 0 && out[n-1].Lo == r.Lo && out[n-1].Hi == r.Hi && out[n-1].Stride == r.Stride {
 			out[n-1].Prob += r.Prob
-			hashing = false
 			continue
-		}
-		if hashing {
-			h = fpFoldRange(h, r)
 		}
 		out = append(out, r)
 	}
@@ -184,7 +123,6 @@ func (c *Calc) Canonicalize(v Value) Value {
 	// Cap at MaxRanges by repeatedly merging the cheapest compatible pair.
 	for len(rs) > c.Cfg.MaxRanges {
 		c.Widens++
-		hashing = false
 		i, j, ok := c.cheapestMergePair(rs)
 		if !ok {
 			return BottomValue()
@@ -196,16 +134,7 @@ func (c *Calc) Canonicalize(v Value) Value {
 		rs[i] = merged
 		rs = append(rs[:j], rs[j+1:]...)
 	}
-	if c.in == nil {
-		return c.intern(Value{kind: Set, Ranges: rs})
-	}
-	if !hashing {
-		h = fpInit
-		for _, r := range rs {
-			h = fpFoldRange(h, r)
-		}
-	}
-	return c.internFused(Value{kind: Set, Ranges: rs}, fpFinish(h, Set, len(rs)))
+	return Value{kind: Set, Ranges: slices.Clone(rs)}
 }
 
 // sortRangesStable is a stable insertion sort under rangeLess. Range sets
@@ -347,15 +276,6 @@ type Weighted struct {
 // each in-edge". ⊤ operands and zero-weight edges are ignored (they are
 // not yet executable or not yet evaluated — the optimistic SCCP rule); a
 // ⊥ operand on an executable edge forces ⊥.
-//
-// General merges are not memoized: the weights are edge probabilities that
-// drift on nearly every propagation step, so a (ids, weights) cache almost
-// never hits while paying an operand-copy allocation per miss — measured
-// as the single largest allocator of the whole analysis before it was
-// removed. The result still goes through Canonicalize → intern, so
-// repeated merges of the same operands return the same representative
-// without allocating. Loop-header φs, whose weights do stabilize, get the
-// exact-key memo of MergeLoopHeader (intern.go).
 func (c *Calc) Merge(items []Weighted) Value {
 	totalW := 0.0
 	for _, it := range items {

@@ -11,9 +11,7 @@ const (
 
 // mix64 is the 64-bit murmur3 finalizer: a bijective scramble that spreads
 // every input bit across the word. Feeding whole words through it (instead
-// of byte-at-a-time FNV) cuts the cost of hashing a Value by roughly 8x —
-// fingerprinting sits on the cons-table hot path, where it was the single
-// largest CPU item before the switch.
+// of byte-at-a-time FNV) cuts the cost of hashing a Value by roughly 8x.
 func mix64(w uint64) uint64 {
 	w ^= w >> 33
 	w *= 0xff51afd7ed558ccd
@@ -71,64 +69,10 @@ func (s *Hasher) AddBytes(data []byte) { s.word(HashBytes(data)) }
 func (s *Hasher) Sum() uint64 { return s.h }
 
 // Fingerprint returns the canonical hash of a single value.
-func (v Value) Fingerprint() uint64 { return fingerprintValue(v) }
-
-// testFingerprintHook, when non-nil, may override the fingerprint of a
-// value. Test-only: the hash-collision tests seed two structurally
-// different values with a forced-equal fingerprint to prove the cons table
-// never unifies them. The hook costs one nil check on the hot path.
-var testFingerprintHook func(Value) (uint64, bool)
-
-// The cons-table fingerprint folds the ranges first and the (kind, length)
-// header last — the same trick HashBytes uses for its length. Folding the
-// header last is what makes fused hashing possible: Canonicalize can
-// accumulate fpFoldRange over ranges as it emits them, before the final
-// count is known, and close the digest with one fpFinish call. (Hasher
-// keeps its header-first encoding; nothing requires the two streams to
-// match, and reordering the multi-value input-vector hash would buy
-// nothing.)
-
-// fpInit is the fingerprint accumulator's initial state.
-const fpInit = uint64(fnvOffset)
-
-// fpFoldRange folds one range into a fingerprint accumulator.
-func fpFoldRange(h uint64, r Range) uint64 {
-	h = (h ^ mix64(math.Float64bits(r.Prob))) * fnvPrime
-	h = (h ^ mix64(uint64(int64(r.Lo.Var)))) * fnvPrime
-	h = (h ^ mix64(uint64(r.Lo.Const))) * fnvPrime
-	h = (h ^ mix64(uint64(int64(r.Hi.Var)))) * fnvPrime
-	h = (h ^ mix64(uint64(r.Hi.Const))) * fnvPrime
-	h = (h ^ mix64(uint64(r.Stride))) * fnvPrime
-	return h
-}
-
-// fpFinish closes a fingerprint with the kind and range count, so prefix
-// range sequences cannot collide with their extensions.
-func fpFinish(h uint64, kind Kind, n int) uint64 {
-	h = (h ^ mix64(uint64(kind))) * fnvPrime
-	h = (h ^ mix64(uint64(n))) * fnvPrime
-	return h
-}
-
-// fingerprintRaw is the allocation-free fingerprint used by the cons
-// table, ignoring the test hook (probeFP applies it once, centrally).
-func fingerprintRaw(v Value) uint64 {
-	h := fpInit
-	for _, r := range v.Ranges {
-		h = fpFoldRange(h, r)
-	}
-	return fpFinish(h, v.kind, len(v.Ranges))
-}
-
-// fingerprintValue is fingerprintRaw behind the test hook, for the public
-// Fingerprint accessor.
-func fingerprintValue(v Value) uint64 {
-	if testFingerprintHook != nil {
-		if fp, ok := testFingerprintHook(v); ok {
-			return fp
-		}
-	}
-	return fingerprintRaw(v)
+func (v Value) Fingerprint() uint64 {
+	h := NewHasher()
+	h.Add(v)
+	return h.Sum()
 }
 
 // HashValues fingerprints a value vector without allocating — the driver's
@@ -169,12 +113,7 @@ func HashBytes(data []byte) uint64 {
 // bit-identical probabilities. It is stricter than Equal (which tolerates
 // probability drift below 1e-9); the driver's dirty-set test must be exact
 // so that skipping a re-analysis provably cannot change any output bit.
-// Equal nonzero intern ids short-circuit (they imply bit equality by
-// construction); unequal or zero ids fall through to the structural walk.
 func (v Value) BitEqual(o Value) bool {
-	if v.id != 0 && v.id == o.id {
-		return true
-	}
 	if v.kind != o.kind {
 		return false
 	}

@@ -12,16 +12,7 @@ import (
 // When x is ⊥ but the constraint pins it to a single value (x == k), the
 // constraint itself supplies the range: this is how equality tests recover
 // information even for loads from memory.
-//
-// Refinements over interned operands are memoized under op codes disjoint
-// from the binary-operator space (memoOpRefineBase + rel).
 func (c *Calc) Refine(v Value, rel ir.BinOp, other Value) Value {
-	return c.memoized(memoOpRefineBase+uint32(rel), v, other, func() Value {
-		return c.refineUncached(v, rel, other)
-	})
-}
-
-func (c *Calc) refineUncached(v Value, rel ir.BinOp, other Value) Value {
 	if other.IsTop() {
 		return TopValue() // constraint operand not yet evaluated
 	}
@@ -36,7 +27,7 @@ func (c *Calc) refineUncached(v Value, rel ir.BinOp, other Value) Value {
 			if !c.Cfg.Symbolic && !other.Ranges[0].IsNum() {
 				return BottomValue()
 			}
-			return c.PointVal(other.Ranges[0].Lo)
+			return FromRanges(Point(1, other.Ranges[0].Lo))
 		}
 		return BottomValue()
 	}
@@ -63,7 +54,7 @@ func (c *Calc) refineUncached(v Value, rel ir.BinOp, other Value) Value {
 		if !feasible {
 			return Infeasible()
 		}
-		return c.PointVal(pt)
+		return FromRanges(Point(1, pt))
 	}
 
 	hullLo, hullHi, hullOK := c.hull(other)

@@ -202,41 +202,20 @@ func formatProb(p float64) string {
 type Value struct {
 	kind   Kind
 	Ranges []Range
-
-	// id is the hash-cons identity: nonzero for interned representatives
-	// (see intern.go) and for the three fixed contentless values. Equal
-	// nonzero ids imply bit-equal values — ids are globally unique — so
-	// the equality predicates short-circuit on it. A zero id means "not
-	// interned" and implies nothing.
-	id uint64
 }
 
 // TopValue is the optimistic initial assignment.
-func TopValue() Value { return Value{kind: Top, id: idTop} }
+func TopValue() Value { return Value{kind: Top} }
 
 // BottomValue is the unpredictable assignment.
-func BottomValue() Value { return Value{kind: Bottom, id: idBottom} }
+func BottomValue() Value { return Value{kind: Bottom} }
 
 // Infeasible is the empty set: no runtime value satisfies the constraints.
-func Infeasible() Value { return Value{kind: Set, id: idInfeasible} }
+func Infeasible() Value { return Value{kind: Set} }
 
 // Const returns the single-constant value {1[c:c:0]}.
 func Const(c int64) Value {
 	return Value{kind: Set, Ranges: []Range{Point(1, Num(c))}}
-}
-
-// Detach returns a bit-identical copy whose Ranges backing array is
-// freshly allocated. Kind and intern id are preserved: ids are globally
-// unique and never reused, so a detached copy still short-circuits
-// BitEqual against its original. Callers that retain values beyond the
-// analysis that produced them (the server's cross-request function
-// store) detach so that arena recycling or in-place demotion of the
-// original can never reach through a shared slice.
-func (v Value) Detach() Value {
-	if len(v.Ranges) == 0 {
-		return v
-	}
-	return Value{kind: v.kind, id: v.id, Ranges: append(make([]Range, 0, len(v.Ranges)), v.Ranges...)}
 }
 
 // Symbolic returns {1[v:v:0]}: exactly the value of SSA variable v. A copy
@@ -326,13 +305,7 @@ const probEq = 1e-9
 
 // Equal reports whether two values are identical up to probability
 // tolerance; the propagation engine uses this as its change detector.
-// Interned values (intern.go) compare by id: equal nonzero ids imply bit
-// equality, turning the fixed-point "did this value change?" test into an
-// integer comparison on the hot path.
 func (v Value) Equal(o Value) bool {
-	if v.id != 0 && v.id == o.id {
-		return true
-	}
 	if v.kind != o.kind {
 		return false
 	}
@@ -360,9 +333,6 @@ func (v Value) Equal(o Value) bool {
 // frequency convergence is benign and settles on its own, whereas a value
 // whose bounds keep moving is enumerating a loop.
 func (v Value) SameShape(o Value) bool {
-	if v.id != 0 && v.id == o.id {
-		return true
-	}
 	if v.kind != o.kind {
 		return false
 	}

@@ -113,14 +113,7 @@ type driver struct {
 	cg      *callgraph.Graph
 	ip      *interproc
 	workers int
-	// internHint pre-sizes each worker's cons table: live interned values
-	// track the instruction count (≈1.25× in practice), and a pre-sized
-	// table skips the allocate-and-rehash growth ladder that otherwise
-	// runs on every analysis. Divided by the worker count — a parallel
-	// schedule spreads the population — but never below one growth step's
-	// worth, so the estimate erring small costs one doubling, not many.
-	internHint int
-	ctx        context.Context
+	ctx     context.Context
 
 	results []*FuncResult    // function index → latest FuncResult
 	prevIn  [][]vrange.Value // function index → input vector of the last engine run (nil: never ran)
@@ -145,24 +138,10 @@ type driver struct {
 	// exactly as the classic sequential driver did.
 	sccFuncs [][]int
 
-	// tables holds one persistent hash-cons table per worker slot (nil
-	// until the slot first runs, or forever when interning is disabled).
-	// Each wave spawns at most one goroutine per slot and hands it the
-	// slot's table; the WaitGroup barrier between waves (and passes) gives
-	// the happens-before for this epoch hand-off, so a table is never
-	// touched concurrently while its intern, memo, and arena state stay
-	// warm across the whole analysis. Per-worker tables replace the old
-	// per-SCC tables: workers stop rebuilding cold tables for every small
-	// SCC they steal, and the table count is bounded by the pool size
-	// instead of the program's SCC count. Values interned in different
-	// slots carry different ids for equal content; that only weakens the
-	// id short-circuit to a structural compare, never correctness.
-	tables []*vrange.Interner
-
 	// scratch holds one recycled engine allocation pool per function
 	// (dominator structures plus zeroed-on-reuse working arrays), created
-	// lazily under the same ownership discipline as interners: one task
-	// per function per wave, barriers between passes.
+	// lazily under the same ownership discipline as results/prevIn: one
+	// task per function per wave, barriers between passes.
 	scratch []*engineScratch
 
 	// bodyEnc/bodyFPs lazily cache each function's canonical body
@@ -233,11 +212,6 @@ func newDriver(p *ir.Program, cfg Config) *driver {
 	}
 	if d.workers <= 0 {
 		d.workers = runtime.GOMAXPROCS(0)
-	}
-	d.tables = make([]*vrange.Interner, d.workers)
-	d.internHint = p.NumInstrs() + p.NumInstrs()/4
-	if d.workers > 1 {
-		d.internHint /= d.workers
 	}
 	pos := make([]int, n)
 	for i, f := range callOrder(p) {
@@ -327,7 +301,6 @@ func (d *driver) run(ctx context.Context) (*Result, error) {
 	res.Diagnostics = d.collectDiags()
 	d.traceDiags(res.Diagnostics)
 	d.finishTelemetry(res, passes)
-	d.releaseTables()
 	return res, nil
 }
 
@@ -350,23 +323,15 @@ func (d *driver) traceDiags(diags []Diagnostic) {
 }
 
 // finishTelemetry attaches the aggregated snapshot to the result: the
-// interprocedural boundary-drop count, the interner gauges, and the three
-// histograms (range-set size, range span, per-function pass counts) that
-// need IR-level context the telemetry package does not depend on.
+// interprocedural boundary-drop count and the three histograms (range-set
+// size, range span, per-function pass counts) that need IR-level context
+// the telemetry package does not depend on.
 func (d *driver) finishTelemetry(res *Result, maxPasses int) {
 	if d.rec == nil {
 		return
 	}
 	snap := d.rec.Snapshot()
 	snap.BoundaryDrops = d.ip.drops.Load()
-	for _, it := range d.tables {
-		if it == nil {
-			continue
-		}
-		snap.InternLive += int64(it.Live())
-		snap.InternArenaBytes += it.ArenaBytes()
-		snap.InternEvictions += it.Evictions()
-	}
 
 	setSize := telemetry.NewHistogram("range-set-size", "⊤", "⊥", "∅", "1", "2", "3", "4", "5+")
 	span := telemetry.NewHistogram("range-span", "point", "≤8", "≤64", "≤512", "≤4096", ">4096", "symbolic")
@@ -698,12 +663,11 @@ func (d *driver) runWave(wave []int, waveSpan telemetry.SpanID) {
 		nw = len(wave)
 	}
 	if nw <= 1 {
-		it := d.table(0)
 		for _, scc := range wave {
 			if d.cancelled.Load() {
 				return
 			}
-			d.runSCC(scc, it, waveSpan, 1)
+			d.runSCC(scc, waveSpan, 1)
 		}
 		return
 	}
@@ -711,9 +675,6 @@ func (d *driver) runWave(wave []int, waveSpan telemetry.SpanID) {
 	var wg sync.WaitGroup
 	wg.Add(nw)
 	for w := 0; w < nw; w++ {
-		// Resolve the slot's table on the driver goroutine (lazy creation
-		// must not race); the barrier below ends the slot's ownership.
-		it := d.table(w)
 		lane := int32(w + 1)
 		go func() {
 			defer wg.Done()
@@ -722,77 +683,11 @@ func (d *driver) runWave(wave []int, waveSpan telemetry.SpanID) {
 				if i >= len(wave) || d.cancelled.Load() {
 					return
 				}
-				d.runSCC(wave[i], it, waveSpan, lane)
+				d.runSCC(wave[i], waveSpan, lane)
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-// internPools recycles warm cons tables across analyses. A finished run's
-// tables go back to the pool and the next Analyze of a similar program
-// starts with its values and memo entries already resident — the steady
-// re-analysis loop (vrpd re-running on every change) then interns almost
-// entirely by table hit, paying neither construction (≈1.5MB of zeroed
-// slots per run) nor first-touch misses. Two safety rules:
-//
-//   - Pools are keyed by the full vrange.Config: memo entries replay
-//     results and stats deltas recorded under one configuration and would
-//     be silently wrong under another. Config is a small comparable
-//     struct, so it is its own map key.
-//   - A pooled table is never Reset: Results retain arena-backed Values,
-//     so recycling slabs while any previous Result is alive would corrupt
-//     it. Growth across unlike programs is bounded instead by dropping
-//     tables whose live population exceeds pooledTableMaxLive (the pool
-//     itself is GC-clearable, so idle tables do not pin memory forever).
-var internPools sync.Map // vrange.Config → *sync.Pool of *vrange.Interner
-
-const pooledTableMaxLive = 1 << 16
-
-func internPool(cfg vrange.Config) *sync.Pool {
-	if p, ok := internPools.Load(cfg); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := internPools.LoadOrStore(cfg, &sync.Pool{})
-	return p.(*sync.Pool)
-}
-
-// ResetInternPools drops every pooled cons table. Benchmarks call it when
-// they need cold-table counters (first-run hit/miss splits, per-program
-// arena footprints) rather than the steady-state warm behavior.
-func ResetInternPools() {
-	internPools.Range(func(k, _ any) bool {
-		internPools.Delete(k)
-		return true
-	})
-}
-
-// table returns worker slot w's persistent interner, creating it on first
-// use.
-func (d *driver) table(w int) *vrange.Interner {
-	if d.tables[w] == nil {
-		if it, _ := internPool(d.cfg.Range).Get().(*vrange.Interner); it != nil {
-			d.tables[w] = it
-		} else {
-			d.tables[w] = vrange.NewInternerSized(d.internHint)
-		}
-	}
-	return d.tables[w]
-}
-
-// releaseTables hands the run's warm tables back to the config-keyed pool.
-// Must run after finishTelemetry (which reads the tables' gauges).
-func (d *driver) releaseTables() {
-	pool := internPool(d.cfg.Range)
-	for i, it := range d.tables {
-		if it == nil {
-			continue
-		}
-		d.tables[i] = nil
-		if it.Live() <= pooledTableMaxLive {
-			pool.Put(it)
-		}
-	}
 }
 
 // runSCC analyzes one SCC's functions sequentially (mutual recursion needs
@@ -805,7 +700,7 @@ func (d *driver) releaseTables() {
 // A function that is not skipped ends in one of five outcomes — spliced
 // from the store, ok, degraded:panic, degraded:step-budget or cancelled —
 // and every outcome shares one close-out for results, counters and spans.
-func (d *driver) runSCC(scc int, it *vrange.Interner, waveSpan telemetry.SpanID, lane int32) {
+func (d *driver) runSCC(scc int, waveSpan telemetry.SpanID, lane int32) {
 	var local statCounters
 	changed := false
 	for _, fi := range d.sccFuncs[scc] {
@@ -820,7 +715,7 @@ func (d *driver) runSCC(scc int, it *vrange.Interner, waveSpan telemetry.SpanID,
 			break
 		}
 		f := d.cg.Funcs[fi]
-		calc := vrange.NewCalcWith(d.cfg.Range, it)
+		calc := vrange.NewCalc(d.cfg.Range)
 		in := d.computeInputs(fi, calc)
 		if !d.cfg.noSkip && d.results[fi] != nil && d.prevIn[fi] != nil &&
 			in.hash == d.prevFP[fi] && bitEqualVec(in.vec, d.prevIn[fi]) {
@@ -898,7 +793,7 @@ func (d *driver) runSCC(scc int, it *vrange.Interner, waveSpan telemetry.SpanID,
 					// Record before ip.update so SubOps covers the engine alone;
 					// the splice path re-executes the update live and counts
 					// its own.
-					d.cfg.FuncStore.Store(sKey.Detach(),
+					d.cfg.FuncStore.Store(sKey,
 						encodeStored(f, fr, eng.blkFreq, eng.stats, calc.SubOps-subOps0))
 				}
 			}
@@ -946,15 +841,6 @@ func (d *driver) runSCC(scc int, it *vrange.Interner, waveSpan telemetry.SpanID,
 				rm.Steps = eng.steps
 			}
 			rm.AddWidens(calc.Widens)
-			rm.AddLattice(telemetry.LatticeCounters{
-				InternHits:    calc.InternHits,
-				InternMiss:    calc.InternMisses,
-				MemoHits:      calc.MemoHits,
-				MemoMisses:    calc.MemoMisses,
-				ConfirmSkips:  calc.ConfirmSkips,
-				MergeMemoHits: calc.MergeMemoHits,
-				MergeMemoMiss: calc.MergeMemoMisses,
-			})
 			d.rec.EndRun(fi, rm, outcome)
 		}
 		if outcome == "cancelled" {

@@ -98,7 +98,7 @@ type phiOp struct {
 // engineScratch holds the per-function allocations that survive across
 // engine runs: the dominator structures (the CFG never changes during an
 // analysis) and the recycled working arrays. The driver keeps one per
-// function under the same ownership discipline as the per-SCC interners —
+// function under the same ownership discipline as its results slot —
 // a function is analyzed by exactly one task per wave and re-runs are
 // ordered by the wave barriers, so reuse is race-free. Arrays that escape
 // into the FuncResult (val, edgeFreq, branchP, branchSrc) are NOT here:
@@ -449,7 +449,7 @@ const (
 func (e *engine) symVal(r ir.Reg) vrange.Value {
 	v := e.val[r]
 	if v.IsBottom() && e.cfg.Range.Symbolic {
-		return e.calc.SymbolicVal(e.rootOf(r))
+		return vrange.Symbolic(e.rootOf(r))
 	}
 	return v
 }
@@ -539,7 +539,7 @@ func (e *engine) evalInstr(in *ir.Instr) {
 	var nv vrange.Value
 	switch in.Op {
 	case ir.OpConst:
-		nv = e.calc.ConstVal(in.Const)
+		nv = vrange.Const(in.Const)
 	case ir.OpParam:
 		nv = e.in.param(in.ArgIndex)
 	case ir.OpInput, ir.OpLoad, ir.OpAlloc:
@@ -562,15 +562,15 @@ func (e *engine) evalInstr(in *ir.Instr) {
 			// uniform-independence model would discard the correlation.
 			ra, rb := e.rootOf(in.A), e.rootOf(in.B)
 			if refersTo(a, rb) {
-				b = e.calc.SymbolicVal(rb)
+				b = vrange.Symbolic(rb)
 			} else if refersTo(b, ra) {
-				a = e.calc.SymbolicVal(ra)
+				a = vrange.Symbolic(ra)
 			}
 		}
 		nv = e.calc.Apply(in.BinOp, a, b)
 	case ir.OpAssert:
 		e.tm.Assert()
-		other := e.calc.ConstVal(in.Const)
+		other := vrange.Const(in.Const)
 		if in.B != ir.None {
 			other = e.symVal(in.B)
 		}
@@ -676,14 +676,7 @@ func (e *engine) evalPhi(phi *ir.Instr) {
 		items = append(items, vrange.Weighted{Val: e.val[o.reg], W: o.w})
 	}
 	e.phiItems = items
-	var nv vrange.Value
-	if hasBack {
-		// Loop-header φ: weights freeze once the loop's frequencies
-		// converge, so the exact-key merge memo hits on every body step.
-		nv = e.calc.MergeLoopHeader(items)
-	} else {
-		nv = e.calc.Merge(items)
-	}
+	nv := e.calc.Merge(items)
 	if e.tm != nil && vrange.MergeLoss(nv, items) {
 		e.tm.PhiHull()
 	}

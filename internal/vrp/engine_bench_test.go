@@ -144,9 +144,8 @@ func main() {
 }
 
 // BenchmarkAnalyzeAllocs measures the heap cost of one analysis of a
-// loop-and-call heavy program; interning makes the steady state of the
-// fixpoint allocation-free, so allocs/op tracks what the driver and the
-// escaping result arrays still allocate.
+// loop-and-call heavy program: one small allocation per range-calculator
+// result, plus what the driver and the escaping result arrays allocate.
 func BenchmarkAnalyzeAllocs(b *testing.B) {
 	src := ""
 	call := ""

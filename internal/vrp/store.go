@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"vrp/internal/ir"
 	"vrp/internal/vrange"
@@ -20,12 +21,11 @@ import (
 // function of a large program re-analyze only its dirty cone while every
 // clean function is spliced from the store, bit-identical to a cold run.
 //
-// Collision discipline mirrors the interner's (vrange/intern.go): the
-// 64-bit fingerprints only locate a bucket; every hit is confirmed
-// against the stored key material (canonical body bytes, callee-name
-// binding, bit-equal input values) before anything is served. A
-// fingerprint collision is counted by the implementation and treated as
-// a miss, never unified.
+// Collision discipline: the 64-bit fingerprints only locate a bucket;
+// every hit is confirmed against the stored key material (canonical body
+// bytes, callee-name binding, bit-equal input values) before anything is
+// served. A fingerprint collision is counted by the implementation and
+// treated as a miss, never unified.
 //
 // Two subtleties the key construction must (and does) handle:
 //
@@ -90,19 +90,6 @@ func (k *FuncKey) SameKey(o *FuncKey) bool {
 		}
 	}
 	return bitEqualVec(k.Inputs, o.Inputs)
-}
-
-// Detach returns a copy safe to retain beyond the producing analysis:
-// input values get fresh Ranges arrays (the originals may alias arena
-// slabs recycled by a later run). Body and Callees are immutable after
-// construction and are shared.
-func (k *FuncKey) Detach() *FuncKey {
-	c := *k
-	c.Inputs = make([]vrange.Value, len(k.Inputs))
-	for i, v := range k.Inputs {
-		c.Inputs[i] = v.Detach()
-	}
-	return &c
 }
 
 // StoredBranch is one conditional branch's prediction, addressed by the
@@ -274,12 +261,12 @@ func (d *driver) funcKey(fi int, in *funcInputs) *FuncKey {
 }
 
 // encodeStored builds the portable record of one successful engine run.
-// Values are detached: the engine's arrays alias recycled scratch and
-// arena storage, and demoteUnconverged may later rewrite fr.Val in
-// place; a stored record must be immune to both.
+// The arrays are copied: the engine's alias recycled scratch, and
+// demoteUnconverged may later rewrite fr.Val in place; a stored record
+// must be immune to both. The values themselves are immutable and shared.
 func encodeStored(f *ir.Func, fr *FuncResult, blkFreq []float64, st Stats, subOps int64) *StoredFunc {
 	sf := &StoredFunc{
-		Vals:          make([]vrange.Value, len(fr.Val)),
+		Vals:          slices.Clone(fr.Val),
 		EdgeFreq:      append([]float64(nil), fr.EdgeFreq...),
 		BlkFreq:       append([]float64(nil), blkFreq...),
 		ExprEvals:     st.ExprEvals,
@@ -288,9 +275,6 @@ func encodeStored(f *ir.Func, fr *FuncResult, blkFreq []float64, st Stats, subOp
 		DerivedLoops:  st.DerivedLoops,
 		FailedDerives: st.FailedDerives,
 		SubOps:        subOps,
-	}
-	for i, v := range fr.Val {
-		sf.Vals[i] = v.Detach()
 	}
 	ord := int32(0)
 	for _, b := range f.Blocks {
