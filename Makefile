@@ -1,6 +1,8 @@
 # Development targets. `make check` is the CI gate: formatting, vet, and
-# the full test suite under the race detector (the analysis driver is
-# parallel by default, so every test doubles as a race test).
+# the full test suite under the race detector, which guards vrpd's
+# concurrent requests, the batch endpoint's producer goroutine, and the
+# locks of the response cache, the per-function store and the flight
+# recorder.
 
 GO ?= go
 GOFMT ?= gofmt

@@ -17,7 +17,7 @@
 //	-profile     with -run (required), print observed branch probabilities
 //	             next to the predictions
 //	-trace FILE  write the run's span tree (parse, ssa, vrp with its
-//	             callgraph/pass/wave/engine children) as a Chrome
+//	             callgraph/pass/engine children) as a Chrome
 //	             trace_event JSON file (open in chrome://tracing or Perfetto)
 //	-telemetry   run with telemetry and print the run summary (engine
 //	             steps, worklist peaks, widenings, histograms) to stderr

@@ -16,7 +16,6 @@
 //	-cache N               result-cache entries (0 disables)
 //	-funcstore N           per-function result-store buckets (0 disables)
 //	-timeout D             per-analysis timeout (0 = none)
-//	-workers N             per-analysis engine parallelism (0 = one per CPU)
 //	-slo-latency D         latency target for vrpd_slo_* burn gauges
 //	                       (default 250ms, 0 disables)
 //	-recorder N            flight-recorder entries (default 256, 0 disables)
@@ -53,7 +52,6 @@ func main() {
 		cacheSize = flag.Int("cache", server.DefaultCacheEntries, "result cache entries (0 disables caching)")
 		storeSize = flag.Int("funcstore", server.DefaultFuncStoreEntries, "per-function result store buckets (0 disables incremental reuse)")
 		timeout   = flag.Duration("timeout", 0, "per-analysis timeout (0 = none)")
-		workers   = flag.Int("workers", 0, "per-analysis engine workers (0 = one per CPU)")
 		sloTarget = flag.Duration("slo-latency", server.DefaultSLOLatency, "latency target behind the vrpd_slo_* burn gauges (0 disables)")
 		recEnts   = flag.Int("recorder", server.DefaultRecorderEntries, "flight-recorder retained requests (0 disables /debug/vrpd)")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful shutdown drain budget")
@@ -95,7 +93,6 @@ func main() {
 		CacheEntries:     cacheEntries,
 		FuncStoreEntries: storeEntries,
 		AnalyzeTimeout:   *timeout,
-		Workers:          *workers,
 		SLOLatency:       slo,
 		RecorderEntries:  recorderEntries,
 		Logger:           logger,

@@ -151,15 +151,14 @@ func execute(s Subject, v Variant) (*run, error) {
 }
 
 // eval analyzes the run's program under opts and fills one record per
-// branch executed on the ref input. Analyses use the sequential schedule;
-// outputs are identical at any worker count.
+// branch executed on the ref input.
 func (r *run) eval(opts []vrp.Option) (*ProgramEval, error) {
 	p, name := r.p, r.s.Name
-	full, err := p.Analyze(append([]vrp.Option{vrp.WithWorkers(1), vrp.WithTelemetry()}, opts...)...)
+	full, err := p.Analyze(append([]vrp.Option{vrp.WithTelemetry()}, opts...)...)
 	if err != nil {
 		return nil, fmt.Errorf("%s vrp: %w", name, err)
 	}
-	numeric, err := p.Analyze(append(append([]vrp.Option{vrp.WithWorkers(1)}, opts...), vrp.NumericOnly())...)
+	numeric, err := p.Analyze(append(append([]vrp.Option(nil), opts...), vrp.NumericOnly())...)
 	if err != nil {
 		return nil, fmt.Errorf("%s vrp-numeric: %w", name, err)
 	}

@@ -119,10 +119,8 @@ type perfSample struct {
 	peak          uint64
 }
 
-// run compiles and analyzes the target once under the sequential
-// schedule (Workers: 1, so the MemStats deltas count one engine's
-// allocations and the time measures the analysis, not scheduling luck).
-// A GC fence keeps earlier garbage out of the deltas and the peak.
+// run compiles and analyzes the target once. A GC fence keeps earlier
+// garbage out of the MemStats deltas and the peak.
 func (t perfTarget) run() (perfSample, *corevrp.Result, error) {
 	runtime.GC()
 	var m0, m1 runtime.MemStats
@@ -134,9 +132,7 @@ func (t perfTarget) run() (perfSample, *corevrp.Result, error) {
 	var res *corevrp.Result
 	if err == nil {
 		sp := tr.Start(telemetry.NoSpan, "phase", "vrp")
-		cfg := defaultEngineConfig(p)
-		cfg.Workers = 1
-		res, err = corevrp.Analyze(p, cfg)
+		res, err = corevrp.Analyze(p, defaultEngineConfig(p))
 		tr.End(sp)
 	}
 	ns := time.Since(start).Nanoseconds()

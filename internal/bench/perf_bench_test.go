@@ -10,13 +10,11 @@ import (
 	corevrp "vrp/internal/vrp"
 )
 
-// benchAnalyze analyzes p once per iteration under the sequential
-// schedule — a profiling target for the vrp phase of the perf ledger
+// benchAnalyze analyzes p once per iteration — a profiling target for the vrp phase of the perf ledger
 // (go test -bench GenAnalyze -cpuprofile ...).
 func benchAnalyze(b *testing.B, p *ir.Program) {
 	b.Helper()
 	cfg := defaultEngineConfig(p)
-	cfg.Workers = 1
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,16 +1,15 @@
-// Package callgraph builds the static call graph of an ir.Program, its
-// strongly-connected-component condensation, and a topological *wave*
-// schedule over the condensation. The analysis driver uses the waves to run
-// the §3.7 interprocedural fixpoint in parallel: all SCCs within one wave
-// are pairwise call-independent, so their functions can be analyzed
-// concurrently — each one's interprocedural inputs (formal-parameter merges
-// from callers in earlier waves, return ranges of callees in later waves)
-// are never written while the wave runs.
+// Package callgraph builds the static call graph of an ir.Program and its
+// strongly-connected-component condensation, with SCCs numbered in a
+// topological order of the condensation: every call edge between distinct
+// SCCs goes from a lower SCC id to a higher one. The analysis driver runs
+// each pass of the §3.7 interprocedural fixpoint in SCC id order, so a
+// function's callers (which supply its formal-parameter merges) run before
+// it within the pass.
 //
 // Everything here is deterministic: functions carry dense indices in
-// program order, SCC member lists are sorted, SCC ids are assigned in
-// schedule order, and every traversal uses an explicit stack so that deep
-// call chains cannot overflow the goroutine stack.
+// program order, SCC member lists are sorted, SCC ids follow call depth,
+// and every traversal uses an explicit stack so that deep call chains
+// cannot overflow the goroutine stack.
 package callgraph
 
 import (
@@ -19,10 +18,10 @@ import (
 	"vrp/internal/ir"
 )
 
-// Graph is a program's call graph plus its SCC condensation and wave
-// schedule. All slices indexed by "function index" use the dense program
-// order of Prog.Funcs; "SCC id" indexes SCCs/Waves numbering assigned in
-// schedule order (wave-major, then by smallest member function index).
+// Graph is a program's call graph plus its SCC condensation. All slices
+// indexed by "function index" use the dense program order of Prog.Funcs;
+// "SCC id" indexes SCCs, numbered by condensation depth (the longest call
+// path from a root SCC), then by smallest member function index.
 type Graph struct {
 	Prog  *ir.Program
 	Funcs []*ir.Func       // function index → function (program order)
@@ -36,15 +35,9 @@ type Graph struct {
 
 	SCCID []int   // function index → SCC id
 	SCCs  [][]int // SCC id → member function indices, sorted ascending
-
-	// Waves groups SCC ids by condensation depth: Waves[0] holds the root
-	// SCCs (no callers outside themselves), and every call edge between
-	// distinct SCCs goes from an earlier wave to a strictly later one.
-	// Within a wave, SCC ids are sorted (= ordered by smallest member).
-	Waves [][]int
 }
 
-// Build constructs the call graph, condensation and wave schedule.
+// Build constructs the call graph and its condensation.
 func Build(p *ir.Program) *Graph {
 	n := len(p.Funcs)
 	g := &Graph{
@@ -90,9 +83,10 @@ func Build(p *ir.Program) *Graph {
 	return g
 }
 
-// condense runs an iterative Tarjan SCC pass, then assigns each SCC a wave
-// (its longest-path depth from the condensation roots) and renumbers SCCs
-// in schedule order.
+// condense runs an iterative Tarjan SCC pass, then computes each SCC's
+// depth (its longest-path distance from the condensation roots) and
+// renumbers SCCs by depth, so every inter-SCC call edge goes from a lower
+// id to a strictly higher one.
 func (g *Graph) condense() {
 	n := len(g.Funcs)
 	// --- iterative Tarjan ---
@@ -165,17 +159,13 @@ func (g *Graph) condense() {
 		}
 	}
 
-	// --- wave depths over the condensation ---
+	// --- depths over the condensation ---
 	// Tarjan emits SCCs in reverse topological order (callees before their
 	// callers), so iterating the emission order backwards visits callers
 	// first; one relaxation sweep computes longest-path depth.
 	depth := make([]int, len(sccs))
-	maxDepth := 0
 	for s := len(sccs) - 1; s >= 0; s-- {
 		d := depth[s]
-		if d > maxDepth {
-			maxDepth = d
-		}
 		for _, v := range sccs[s] {
 			for _, w := range g.Callees[v] {
 				if t := comp[w]; t != s && depth[t] < d+1 {
@@ -185,8 +175,8 @@ func (g *Graph) condense() {
 		}
 	}
 
-	// --- renumber SCCs in schedule order: wave-major, then by smallest
-	// member function index (members are sorted, so members[0] is it) ---
+	// --- renumber SCCs by depth, then by smallest member function index
+	// (members are sorted, so members[0] is it) ---
 	order := make([]int, len(sccs))
 	for i := range order {
 		order[i] = i
@@ -200,14 +190,11 @@ func (g *Graph) condense() {
 	})
 	g.SCCs = make([][]int, len(sccs))
 	g.SCCID = make([]int, n)
-	g.Waves = make([][]int, maxDepth+1)
 	for newID, oldID := range order {
 		g.SCCs[newID] = sccs[oldID]
 		for _, v := range sccs[oldID] {
 			g.SCCID[v] = newID
 		}
-		d := depth[oldID]
-		g.Waves[d] = append(g.Waves[d], newID)
 	}
 }
 

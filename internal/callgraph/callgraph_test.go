@@ -2,9 +2,14 @@ package callgraph
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
 
+	"vrp/internal/corpus"
 	"vrp/internal/ir"
+	"vrp/internal/irgen"
+	"vrp/internal/parser"
+	"vrp/internal/sem"
 )
 
 // synth builds a program whose functions (in the given order) call the
@@ -26,20 +31,22 @@ func synth(order []string, calls map[string][]string) *ir.Program {
 	return p
 }
 
-func waveOf(g *Graph, name string) int {
-	fi := g.Index[g.Prog.ByName[name]]
-	scc := g.SCCID[fi]
-	for w, ids := range g.Waves {
-		for _, id := range ids {
-			if id == scc {
-				return w
+// checkEdgeOrder asserts the numbering property the driver's pass order
+// relies on: every call edge between distinct SCCs goes from a lower SCC
+// id to a strictly higher one, so callers run before their callees.
+func checkEdgeOrder(t *testing.T, label string, g *Graph) {
+	t.Helper()
+	for fi, cs := range g.Callees {
+		for _, ci := range cs {
+			if a, b := g.SCCID[fi], g.SCCID[ci]; a != b && a >= b {
+				t.Errorf("%s: call %s→%s goes from SCC %d to SCC %d, want a higher id",
+					label, g.Funcs[fi].Name, g.Funcs[ci].Name, a, b)
 			}
 		}
 	}
-	return -1
 }
 
-func TestWavesAndSCCs(t *testing.T) {
+func TestSCCOrder(t *testing.T) {
 	// main → {a, b}; a → c; b → c; c → d ↔ e (mutual recursion); f is
 	// unreached; g calls itself.
 	p := synth(
@@ -73,29 +80,41 @@ func TestWavesAndSCCs(t *testing.T) {
 		t.Errorf("a wrongly marked recursive")
 	}
 
-	// Depths: main 0, a/b 1, c 2, d/e 3; f and g have no callers → wave 0.
-	wants := map[string]int{"main": 0, "a": 1, "b": 1, "c": 2, "d": 3, "e": 3, "f": 0, "g": 0}
+	// Ids follow call depth, then smallest member: main, f, g have no
+	// callers (depth 0), a/b depth 1, c depth 2, d/e depth 3.
+	wants := map[string]int{"main": 0, "f": 1, "g": 2, "a": 3, "b": 4, "c": 5, "d": 6, "e": 6}
 	for name, want := range wants {
-		if got := waveOf(g, name); got != want {
-			t.Errorf("wave(%s) = %d, want %d", name, got, want)
+		if got := g.SCCID[g.Index[p.ByName[name]]]; got != want {
+			t.Errorf("SCCID(%s) = %d, want %d", name, got, want)
 		}
 	}
+	checkEdgeOrder(t, "synth", g)
+}
 
-	// Every call edge between distinct SCCs must cross to a strictly later
-	// wave — the property the parallel driver relies on.
-	wave := make([]int, len(g.SCCs))
-	for w, ids := range g.Waves {
-		for _, id := range ids {
-			wave[id] = w
+// TestCorpusSCCIDs pins the SCC numbering on the whole corpus: SCC ids
+// appear in diagnostics, vrpd's JSON and the driver's visit order, so a
+// change to condense must not renumber them.
+func TestCorpusSCCIDs(t *testing.T) {
+	h := fnv.New64a()
+	for _, cp := range corpus.All() {
+		ast, err := parser.Parse(cp.Name, cp.Source)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if err := sem.Check(ast); err != nil {
+			t.Fatal(err)
+		}
+		prog, err := irgen.Build(ast)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := Build(prog)
+		checkEdgeOrder(t, cp.Name, g)
+		fmt.Fprintln(h, cp.Name, g.SCCID)
 	}
-	for fi, cs := range g.Callees {
-		for _, ci := range cs {
-			if g.SCCID[fi] != g.SCCID[ci] && wave[g.SCCID[fi]] >= wave[g.SCCID[ci]] {
-				t.Errorf("call %s→%s does not cross to a later wave",
-					g.Funcs[fi].Name, g.Funcs[ci].Name)
-			}
-		}
+	const want uint64 = 0xfa78ba87ebe707cd
+	if got := h.Sum64(); got != want {
+		t.Errorf("corpus SCC id digest = %#x, want %#x", got, want)
 	}
 }
 
@@ -104,14 +123,14 @@ func TestBuildDeterministic(t *testing.T) {
 	calls := map[string][]string{"main": {"y", "x"}, "x": {"z"}, "y": {"z"}}
 	a := Build(synth(order, calls))
 	b := Build(synth(order, calls))
-	if fmt.Sprint(a.SCCs, a.Waves, a.SCCID) != fmt.Sprint(b.SCCs, b.Waves, b.SCCID) {
-		t.Fatalf("Build not deterministic:\n%v %v %v\n%v %v %v",
-			a.SCCs, a.Waves, a.SCCID, b.SCCs, b.Waves, b.SCCID)
+	if fmt.Sprint(a.SCCs, a.SCCID) != fmt.Sprint(b.SCCs, b.SCCID) {
+		t.Fatalf("Build not deterministic:\n%v %v\n%v %v", a.SCCs, a.SCCID, b.SCCs, b.SCCID)
 	}
 }
 
 // TestDeepChain guards the iterative Tarjan: a 10k-deep call chain must not
-// overflow the stack, and must produce one wave per function.
+// overflow the stack, and must put every function in its own SCC, numbered
+// by its depth in the chain.
 func TestDeepChain(t *testing.T) {
 	const depth = 10000
 	order := make([]string, depth)
@@ -125,12 +144,12 @@ func TestDeepChain(t *testing.T) {
 	order[0] = "main"
 	calls["main"] = []string{"f1"}
 	g := Build(synth(order, calls))
-	if len(g.Waves) != depth {
-		t.Fatalf("got %d waves, want %d", len(g.Waves), depth)
+	if len(g.SCCs) != depth {
+		t.Fatalf("got %d SCCs, want %d", len(g.SCCs), depth)
 	}
-	for w, ids := range g.Waves {
-		if len(ids) != 1 || len(g.SCCs[ids[0]]) != 1 {
-			t.Fatalf("wave %d not a singleton", w)
+	for fi, id := range g.SCCID {
+		if id != fi {
+			t.Fatalf("function %d in SCC %d, want %d", fi, id, fi)
 		}
 	}
 }

@@ -169,18 +169,6 @@ func (li *LoopInfo) Depth(id int) int {
 	return 0
 }
 
-// IsBackEdge reports whether e is a back edge of some natural loop.
-func (li *LoopInfo) IsBackEdge(e *ir.Edge) bool {
-	for _, l := range li.Loops {
-		for _, be := range l.BackEdge {
-			if be == e {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // FindLoops detects natural loops using the dominator tree: an edge a→h is
 // a back edge iff h dominates a; its loop body is found by backward
 // traversal from a.
@@ -415,10 +403,6 @@ func NewPost(f *ir.Func) *PostTree {
 	}
 	return &PostTree{ipdom: out}
 }
-
-// Ipdom returns the immediate postdominator of b, or -1 if it is the
-// virtual exit.
-func (t *PostTree) Ipdom(b int) int { return t.ipdom[b] }
 
 // PostDominates reports whether a postdominates b (reflexively).
 func (t *PostTree) PostDominates(a, b int) bool {

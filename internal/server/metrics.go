@@ -92,7 +92,7 @@ type serverMetrics struct {
 
 // phaseNames is the fixed request-phase vocabulary: the direct children
 // the handler hangs off the root span. The driver's own sub-spans
-// (callgraph, passes, waves, engine runs, splices) nest under "vrp".
+// (callgraph, passes, engine runs, splices) nest under "vrp".
 var phaseNames = []string{"validate", "cache_probe", "parse", "ssa", "vrp", "render", "write"}
 
 // sloWindow tracks request latencies against a target in a ring of

@@ -64,6 +64,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -96,8 +97,8 @@ type Config struct {
 	// fails with 503 and a cancelled outcome). 0 disables the timeout.
 	AnalyzeTimeout time.Duration
 
-	// Workers is passed through to vrp.WithWorkers: per-analysis engine
-	// parallelism. 0 picks one worker per CPU.
+	// Workers is ignored: the analysis runs one sequential schedule.
+	// perfbench is its only setter.
 	Workers int
 
 	// SLOLatency is the per-request latency target behind the vrpd_slo_*
@@ -673,7 +674,7 @@ func (s *Server) analyzeCompiled(ctx context.Context, prog *vrp.Program, explain
 		defer cancel()
 	}
 	vrpSpan := tr.Start(parent, "phase", "vrp")
-	opts := []vrp.Option{vrp.WithTelemetry(), vrp.WithWorkers(s.cfg.Workers), vrp.WithTrace(tr, vrpSpan)}
+	opts := []vrp.Option{vrp.WithTelemetry(), vrp.WithTrace(tr, vrpSpan)}
 	// Telemetry snapshots include per-function run counters, which a
 	// store splice deliberately does not replay — so telemetry requests
 	// skip the store to keep their snapshots faithful to a real full run.
@@ -733,7 +734,7 @@ func (s *Server) analyzeCompiled(ctx context.Context, prog *vrp.Program, explain
 	}
 	if explain != "" {
 		fn, line := explain, 0
-		if i := lastColon(explain); i >= 0 {
+		if i := strings.LastIndexByte(explain, ':'); i >= 0 {
 			n, err := strconv.Atoi(explain[i+1:])
 			if err != nil {
 				return nil, http.StatusBadRequest, "explain_error",
@@ -751,15 +752,6 @@ func (s *Server) analyzeCompiled(ctx context.Context, prog *vrp.Program, explain
 		resp.Telemetry = snap
 	}
 	return resp, http.StatusOK, "ok", nil
-}
-
-func lastColon(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == ':' {
-			return i
-		}
-	}
-	return -1
 }
 
 // ---------------------------------------------------------------- batch

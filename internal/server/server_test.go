@@ -32,8 +32,7 @@ func newTestServer(t *testing.T, mutate func(*Config)) (*Server, *bytes.Buffer) 
 	t.Helper()
 	var logBuf bytes.Buffer
 	cfg := Config{
-		Workers: 1,
-		Logger:  slog.New(slog.NewJSONHandler(&syncWriter{w: &logBuf}, nil)),
+		Logger: slog.New(slog.NewJSONHandler(&syncWriter{w: &logBuf}, nil)),
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -532,7 +531,7 @@ func TestStructuredRequestLog(t *testing.T) {
 // metrics and lattice-counter folding must all be thread-safe, and
 // every request must succeed.
 func TestConcurrentAnalyzeRequests(t *testing.T) {
-	srv, _ := newTestServer(t, func(c *Config) { c.MaxInFlight = 32; c.Workers = 2 })
+	srv, _ := newTestServer(t, func(c *Config) { c.MaxInFlight = 32 })
 	const n = 24
 	var wg sync.WaitGroup
 	codes := make([]int, n)

@@ -9,10 +9,10 @@ import (
 // Quality is the prediction-quality digest of one analysis run: where
 // range information ended up (cell classes and widths), where precision
 // was created or destroyed (the loss ledger), and what evidence backed
-// every emitted branch probability. The driver builds it single-threaded
-// at snapshot time from the final results, so — unlike the wall-clock
-// fields around it — every field is bit-identical across worker counts
-// and Canon clones it without zeroing anything.
+// every emitted branch probability. The driver builds it at snapshot
+// time from the final results, so — unlike the wall-clock fields around
+// it — every field is bit-identical run to run and Canon clones it
+// without zeroing anything.
 //
 // Loss-ledger keys (see DESIGN.md §3.12 for semantics):
 //

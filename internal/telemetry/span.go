@@ -3,7 +3,6 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
-	"strconv"
 	"sync"
 	"time"
 )
@@ -12,7 +11,7 @@ import (
 // one request end to end: the server opens the root over the whole
 // handler, hangs one phase span per pipeline stage off it (validate,
 // cache probe, parse, SSA, render), and the analysis driver fills the
-// "vrp" phase with callgraph/pass/wave/engine/splice children, plus
+// "vrp" phase with callgraph/pass/engine/splice children, plus
 // zero-duration skip and diag marks — so a single artifact answers
 // "which phase ate the time" for any request. It is the only timeline:
 // vrpc -trace, vrpd and vrpbench all export this tree.
@@ -29,11 +28,10 @@ import (
 //     so tests assert on the tree structure and names, never on
 //     durations.
 //
-// Concurrency: Start/End/Annotate take an internal mutex, so driver
-// workers can open engine spans from concurrent goroutines. The mutex is
-// touched once per span — per engine run, not per worklist step — which
-// keeps the enabled cost far off the hot path. Spans reference parents
-// by index, so the backing slice may grow freely.
+// A Trace is safe for concurrent use: Start/End/Annotate/Spans take an
+// internal mutex, once per span — per engine run, not per worklist
+// step — which keeps the enabled cost far off the hot path. Spans
+// reference parents by index, so the backing slice may grow freely.
 
 // SpanID names one span within its Trace. NoSpan is the nil parent (the
 // root) and the id returned by every method of a nil Trace.
@@ -44,14 +42,11 @@ type SpanID int32
 const NoSpan SpanID = -1
 
 // Span is one node of the tree. Start and Dur are nanoseconds relative
-// to the Trace's creation; Lane is the timeline row the span renders on
-// in Chrome trace viewers (0 = the request's own goroutine, 1+N = driver
-// worker N, so concurrent engine runs do not overlap on one row).
+// to the Trace's creation.
 type Span struct {
 	Name   string            `json:"name"`
 	Cat    string            `json:"cat"`
 	Parent SpanID            `json:"parent"`
-	Lane   int32             `json:"lane"`
 	Start  int64             `json:"start_ns"`
 	Dur    int64             `json:"dur_ns"`
 	Args   map[string]string `json:"args,omitempty"`
@@ -78,43 +73,30 @@ func (t *Trace) Now() int64 {
 	return int64(time.Since(t.t0))
 }
 
-// Start opens a span under parent (NoSpan for a root) on the parent's
-// lane and returns its id. An open span has Dur < 0 until End.
+// Start opens a span under parent (NoSpan for a root) and returns its
+// id. An open span has Dur < 0 until End.
 func (t *Trace) Start(parent SpanID, cat, name string) SpanID {
-	return t.StartLane(parent, -1, cat, name)
-}
-
-// StartLane is Start on an explicit lane (driver workers pass their slot
-// index + 1). lane < 0 inherits the parent's lane, or 0 for roots.
-func (t *Trace) StartLane(parent SpanID, lane int32, cat, name string) SpanID {
-	return t.add(parent, lane, cat, name, -1)
+	return t.add(parent, cat, name, -1)
 }
 
 // Mark records a zero-duration span: a point on the timeline, such as a
 // skipped function or a diagnostic, placed in the tree where it happened.
-func (t *Trace) Mark(parent SpanID, lane int32, cat, name string) SpanID {
-	return t.add(parent, lane, cat, name, 0)
+func (t *Trace) Mark(parent SpanID, cat, name string) SpanID {
+	return t.add(parent, cat, name, 0)
 }
 
 // add appends a span starting now with the given duration (-1: open).
-func (t *Trace) add(parent SpanID, lane int32, cat, name string, dur int64) SpanID {
+func (t *Trace) add(parent SpanID, cat, name string, dur int64) SpanID {
 	if t == nil {
 		return NoSpan
 	}
 	now := int64(time.Since(t.t0))
 	t.mu.Lock()
-	if lane < 0 {
-		lane = 0
-		if parent >= 0 && int(parent) < len(t.spans) {
-			lane = t.spans[parent].Lane
-		}
-	}
 	id := SpanID(len(t.spans))
 	t.spans = append(t.spans, Span{
 		Name:   name,
 		Cat:    cat,
 		Parent: parent,
-		Lane:   lane,
 		Start:  now,
 		Dur:    dur,
 	})
@@ -211,36 +193,18 @@ type chromeTrace struct {
 // WriteSpanChromeTrace serializes a span tree as Chrome trace_event JSON
 // (the JSON Object Format consumed by chrome://tracing and Perfetto,
 // https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU).
-// Each lane becomes one thread row; spans are complete ("X") events whose
-// nesting Perfetto reconstructs from time containment within a lane.
+// The tree renders on one thread row named "request"; spans are complete
+// ("X") events whose nesting Perfetto reconstructs from time containment.
 func WriteSpanChromeTrace(w io.Writer, spans []Span) error {
 	const pid = 1
 	out := chromeTrace{
 		TraceEvents:     make([]chromeEvent, 0, len(spans)+1),
 		DisplayTimeUnit: "ms",
 	}
-
-	lanes := map[int32]bool{}
-	for _, sp := range spans {
-		lanes[sp.Lane] = true
-	}
-	maxLane := int32(0)
-	for l := range lanes {
-		if l > maxLane {
-			maxLane = l
-		}
-	}
-	for l := int32(0); l <= maxLane; l++ {
-		if !lanes[l] {
-			continue
-		}
-		name := "request"
-		if l > 0 {
-			name = "worker " + strconv.Itoa(int(l-1))
-		}
+	if len(spans) > 0 {
 		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: pid, Tid: int(l),
-			Args: map[string]string{"name": name},
+			Name: "thread_name", Ph: "M", Pid: pid,
+			Args: map[string]string{"name": "request"},
 		})
 	}
 
@@ -256,7 +220,6 @@ func WriteSpanChromeTrace(w io.Writer, spans []Span) error {
 			Ts:   float64(sp.Start) / 1e3,
 			Dur:  float64(dur) / 1e3,
 			Pid:  pid,
-			Tid:  int(sp.Lane),
 			Args: sp.Args,
 		})
 	}

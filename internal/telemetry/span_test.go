@@ -15,9 +15,9 @@ func TestNilTraceZeroAlloc(t *testing.T) {
 	var tr *Trace
 	allocs := testing.AllocsPerRun(100, func() {
 		id := tr.Start(NoSpan, "phase", "vrp")
-		id2 := tr.StartLane(id, 3, "engine", "kernel")
+		id2 := tr.Start(id, "engine", "kernel")
 		tr.Annotate(id2, "outcome", "ok")
-		tr.Mark(id, 3, "skip", "helper")
+		tr.Mark(id, "skip", "helper")
 		_ = tr.Now()
 		tr.End(id2)
 		tr.End(id)
@@ -31,16 +31,16 @@ func TestNilTraceZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSpanTree exercises the structural contract: parent linkage, lane
-// inheritance, idempotent End, open-span snapshots, zero-duration marks,
-// and Args copying.
+// TestSpanTree exercises the structural contract: parent linkage,
+// idempotent End, open-span snapshots, zero-duration marks, and Args
+// copying.
 func TestSpanTree(t *testing.T) {
 	tr := NewTrace()
 	root := tr.Start(NoSpan, "request", "POST /v1/analyze")
 	vrp := tr.Start(root, "phase", "vrp")
-	eng := tr.StartLane(vrp, 2, "engine", "kernel")
+	eng := tr.Start(vrp, "engine", "kernel")
 	tr.Annotate(eng, "outcome", "ok")
-	child := tr.Start(eng, "splice", "helper") // inherits lane 2
+	child := tr.Start(eng, "splice", "helper")
 	tr.End(child)
 	tr.End(eng)
 
@@ -54,25 +54,19 @@ func TestSpanTree(t *testing.T) {
 			open[0].Dur, open[1].Dur)
 	}
 
-	mark := tr.Mark(vrp, -1, "diag", "non-convergence") // inherits lane 0
-	tr.End(mark)                                        // a mark is already closed
+	mark := tr.Mark(vrp, "diag", "non-convergence")
+	tr.End(mark) // a mark is already closed
 	tr.End(vrp)
 	tr.End(root)
 	tr.End(root) // idempotent: second End must not change the duration
 	spans := tr.Spans()
-	if m := spans[mark]; m.Parent != vrp || m.Lane != 0 || m.Dur != 0 {
-		t.Errorf("mark = parent %d lane %d dur %d, want parent %d lane 0 dur 0", m.Parent, m.Lane, m.Dur, vrp)
+	if m := spans[mark]; m.Parent != vrp || m.Dur != 0 {
+		t.Errorf("mark = parent %d dur %d, want parent %d dur 0", m.Parent, m.Dur, vrp)
 	}
 
 	if spans[0].Parent != NoSpan || spans[1].Parent != root || spans[2].Parent != vrp || spans[3].Parent != eng {
 		t.Errorf("parent chain wrong: %d %d %d %d",
 			spans[0].Parent, spans[1].Parent, spans[2].Parent, spans[3].Parent)
-	}
-	if spans[0].Lane != 0 || spans[1].Lane != 0 {
-		t.Errorf("request-goroutine spans must sit on lane 0, got %d and %d", spans[0].Lane, spans[1].Lane)
-	}
-	if spans[2].Lane != 2 || spans[3].Lane != 2 {
-		t.Errorf("engine span and its child must share lane 2, got %d and %d", spans[2].Lane, spans[3].Lane)
 	}
 	if got := spans[2].Args["outcome"]; got != "ok" {
 		t.Errorf("Annotate lost: Args = %v", spans[2].Args)
@@ -91,8 +85,7 @@ func TestSpanTree(t *testing.T) {
 }
 
 // TestSpanConcurrentStart drives Start/End/Annotate from concurrent
-// goroutines (the driver's worker pattern); run under -race this pins
-// the locking discipline.
+// goroutines; run under -race this pins the locking discipline.
 func TestSpanConcurrentStart(t *testing.T) {
 	tr := NewTrace()
 	root := tr.Start(NoSpan, "request", "r")
@@ -102,7 +95,7 @@ func TestSpanConcurrentStart(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				id := tr.StartLane(root, int32(w+1), "engine", "f")
+				id := tr.Start(root, "engine", "f")
 				tr.Annotate(id, "w", "x")
 				tr.End(id)
 				_ = tr.Spans()
@@ -146,18 +139,17 @@ type errWriter struct{ err error }
 func (w errWriter) Write([]byte) (int, error) { return 0, w.err }
 
 // TestWriteSpanChromeTraceGolden pins the span-tree Chrome export: one
-// thread_name metadata row per populated lane (request / worker N), "X"
-// complete events with ns→µs conversion, dur omitted on zero-duration
+// "request" thread_name metadata row, "X" complete events with ns→µs conversion, dur omitted on zero-duration
 // marks, and args passed through. It also checks that an empty tree
 // still writes a loadable trace and that a failing sink's error reaches
 // the caller.
 func TestWriteSpanChromeTraceGolden(t *testing.T) {
 	spans := []Span{
-		{Name: "POST /v1/analyze", Cat: "request", Parent: NoSpan, Lane: 0, Start: 0, Dur: 900000},
-		{Name: "vrp", Cat: "phase", Parent: 0, Lane: 0, Start: 100000, Dur: 700000},
-		{Name: "kernel", Cat: "engine", Parent: 1, Lane: 2, Start: 150000, Dur: 500000,
+		{Name: "POST /v1/analyze", Cat: "request", Parent: NoSpan, Start: 0, Dur: 900000},
+		{Name: "vrp", Cat: "phase", Parent: 0, Start: 100000, Dur: 700000},
+		{Name: "kernel", Cat: "engine", Parent: 1, Start: 150000, Dur: 500000,
 			Args: map[string]string{"outcome": "ok"}},
-		{Name: "helper", Cat: "skip", Parent: 1, Lane: 2, Start: 650000},
+		{Name: "helper", Cat: "skip", Parent: 1, Start: 650000},
 	}
 	var buf bytes.Buffer
 	if err := WriteSpanChromeTrace(&buf, spans); err != nil {
@@ -173,16 +165,6 @@ func TestWriteSpanChromeTraceGolden(t *testing.T) {
    "tid": 0,
    "args": {
     "name": "request"
-   }
-  },
-  {
-   "name": "thread_name",
-   "ph": "M",
-   "ts": 0,
-   "pid": 1,
-   "tid": 2,
-   "args": {
-    "name": "worker 1"
    }
   },
   {
@@ -210,7 +192,7 @@ func TestWriteSpanChromeTraceGolden(t *testing.T) {
    "ts": 150,
    "dur": 500,
    "pid": 1,
-   "tid": 2,
+   "tid": 0,
    "args": {
     "outcome": "ok"
    }
@@ -221,7 +203,7 @@ func TestWriteSpanChromeTraceGolden(t *testing.T) {
    "ph": "X",
    "ts": 650,
    "pid": 1,
-   "tid": 2
+   "tid": 0
   }
  ],
  "displayTimeUnit": "ms"
@@ -238,8 +220,8 @@ func TestWriteSpanChromeTraceGolden(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
 		t.Fatalf("emitted trace is not valid JSON: %v", err)
 	}
-	if len(parsed.TraceEvents) != 6 {
-		t.Fatalf("got %d trace events, want 6", len(parsed.TraceEvents))
+	if len(parsed.TraceEvents) != 5 {
+		t.Fatalf("got %d trace events, want 5", len(parsed.TraceEvents))
 	}
 
 	// An empty tree (a request traced before any span opened) is still a

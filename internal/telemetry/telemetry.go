@@ -11,13 +11,12 @@
 //     every recording method nil-checks its receiver and the methods are
 //     small enough to inline, so the disabled path compiles down to a
 //     compare-and-skip (TestDisabledRunMetricsZeroAlloc pins this).
-//   - Enabled telemetry is bit-identical across worker counts. Counters
-//     are written into per-function slots owned by the task analyzing
-//     that function (the same discipline the driver uses for results and
-//     diagnostics) and flattened in function index order, never in
-//     completion order. The nondeterministic data are the wall-clock
-//     fields; Snapshot.Canon zeroes them so tests can compare everything
-//     else with reflect.DeepEqual.
+//   - Enabled telemetry is bit-identical run to run. Counters are
+//     written into per-function slots (the same layout the driver uses
+//     for results and diagnostics) and flattened in function index
+//     order. The nondeterministic data are the wall-clock fields;
+//     Snapshot.Canon zeroes them so tests can compare everything else
+//     with reflect.DeepEqual.
 //
 // The package deliberately depends on the standard library only: the
 // driver translates IR-level observations (range widths, diagnostics)
@@ -239,10 +238,6 @@ func (h *Histogram) String() string {
 // disabled state: the driver never calls into it and hands the engine a
 // nil *RunMetrics. A Recorder must not be shared between concurrent
 // analysis runs; Begin resets it.
-//
-// During a parallel wave each per-function slot is touched only by the
-// task analyzing that function, so no synchronization is needed — the
-// same discipline the driver uses for results and diagnostics.
 type Recorder struct {
 	start  time.Time
 	funcs  []FuncMetrics
@@ -288,8 +283,8 @@ func (r *Recorder) EndPass(startNs int64) {
 }
 
 // Snapshot is the aggregated result of a run. All fields except the
-// wall-clock ones (WallNs, PassWallNs) are deterministic: identical for
-// every worker count.
+// wall-clock ones (WallNs, PassWallNs) are deterministic: identical run
+// to run.
 type Snapshot struct {
 	// Funcs holds per-function aggregates in call-graph index order.
 	Funcs []FuncMetrics `json:"funcs"`
@@ -344,7 +339,7 @@ func (r *Recorder) Snapshot() *Snapshot {
 }
 
 // Canon returns a deep copy with the wall-clock fields zeroed, leaving
-// exactly the data that must be bit-identical across worker counts.
+// exactly the data that must be bit-identical run to run.
 func (s *Snapshot) Canon() *Snapshot {
 	c := *s
 	c.Funcs = append([]FuncMetrics(nil), s.Funcs...)

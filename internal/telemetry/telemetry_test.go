@@ -43,9 +43,8 @@ func TestHistogramClamp(t *testing.T) {
 	}
 }
 
-// fillRecorder simulates a two-pass run over three functions, the second
-// and third concurrently analyzable, with the slot-append order of the
-// middle function varying to mimic worker scheduling.
+// fillRecorder simulates a two-pass run over three functions, with the
+// order in which the second and third write their slots varying.
 func fillRecorder(swap bool) *Recorder {
 	r := New()
 	r.Begin([]string{"main", "f", "g"})
@@ -76,8 +75,8 @@ func fillRecorder(swap bool) *Recorder {
 }
 
 // TestSnapshotDeterministicOrder checks that the flattened snapshot is
-// identical (after Canon) no matter in which order concurrent tasks wrote
-// their per-function slots.
+// identical (after Canon) no matter in which order the per-function slots
+// were written.
 func TestSnapshotDeterministicOrder(t *testing.T) {
 	a := fillRecorder(false).Snapshot().Canon()
 	b := fillRecorder(true).Snapshot().Canon()

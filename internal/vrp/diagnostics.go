@@ -65,7 +65,7 @@ func (k DiagKind) String() string {
 
 // Diagnostic is one structured analysis event. Diagnostics are
 // deterministic: the same program and configuration produce the same
-// sequence for every worker count.
+// sequence on every run.
 type Diagnostic struct {
 	Kind DiagKind
 	Func string // function involved; "" for whole-analysis events

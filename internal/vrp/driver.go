@@ -4,12 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"runtime/pprof"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"vrp/internal/callgraph"
 	"vrp/internal/dom"
@@ -20,18 +17,16 @@ import (
 )
 
 // The analysis driver runs the §3.7 interprocedural fixpoint as a
-// parallel, incremental, work-skipping schedule:
+// sequential, incremental, work-skipping schedule:
 //
-//   - Each pass walks the call graph condensation in topological *waves*
-//     (callgraph.Graph.Waves). SCCs within one wave are pairwise
-//     call-independent, so their functions are analyzed concurrently on a
-//     bounded worker pool; mutually recursive functions (one SCC) are
-//     analyzed sequentially inside their task, in call order.
+//   - Each pass walks the call graph condensation in SCC id order
+//     (callgraph numbers SCCs by call depth, so callers come before their
+//     callees); mutually recursive functions (one SCC) are analyzed in
+//     call order.
 //   - Before a function runs, its interprocedural inputs — the merged
 //     formal-parameter values and the return ranges of its known callees —
 //     are frozen into a funcInputs snapshot. The engine reads only the
-//     snapshot, never live shared state, which is what makes wave
-//     parallelism race-free by construction.
+//     snapshot, never the live interprocedural tables.
 //   - The snapshot is fingerprinted (vrange.Hasher). If a function's input
 //     vector is bit-identical to the one of its previous engine run, the
 //     run is skipped and the prior FuncResult reused: the engine is a
@@ -39,9 +34,9 @@ import (
 //     change any output bit. On fixpoints that converge early, later
 //     passes skip almost everything (Stats.FuncsSkipped).
 //
-// Determinism: task outputs go to per-function slots, merges iterate in
-// fixed index order, and stats are merged with atomics — so Workers: 8 is
-// bit-identical to Workers: 1, and Stats.SubOps/ExprEvals stay exact.
+// Determinism: results and diagnostics go to per-function slots and every
+// merge iterates in fixed index order, so outputs are bit-identical run to
+// run and Stats.SubOps/ExprEvals stay exact.
 
 // funcInputs freezes one function's interprocedural inputs for one engine
 // run (or one skip decision).
@@ -69,51 +64,22 @@ func (in *funcInputs) ret(callee *ir.Func) vrange.Value {
 	return vrange.BottomValue()
 }
 
-// statCounters accumulates engine statistics; tasks fold local copies into
-// the driver's shared instance with atomics.
-type statCounters struct {
-	exprEvals     int64
-	phiEvals      int64
-	flowVisits    int64
-	derivedLoops  int64
-	failedDerives int64
-	subOps        int64
-	funcsAnalyzed int64
-	funcsSkipped  int64
-	funcsSpliced  int64
-	funcsDegraded int64
-}
-
-// addEffort folds one function's engine work into the counters.
-func (s *statCounters) addEffort(st *Stats) {
-	s.exprEvals += st.ExprEvals
-	s.phiEvals += st.PhiEvals
-	s.flowVisits += st.FlowVisits
-	s.derivedLoops += st.DerivedLoops
-	s.failedDerives += st.FailedDerives
-	s.subOps += st.SubOps
-}
-
-func (s *statCounters) addAtomic(l *statCounters) {
-	atomic.AddInt64(&s.exprEvals, l.exprEvals)
-	atomic.AddInt64(&s.phiEvals, l.phiEvals)
-	atomic.AddInt64(&s.flowVisits, l.flowVisits)
-	atomic.AddInt64(&s.derivedLoops, l.derivedLoops)
-	atomic.AddInt64(&s.failedDerives, l.failedDerives)
-	atomic.AddInt64(&s.subOps, l.subOps)
-	atomic.AddInt64(&s.funcsAnalyzed, l.funcsAnalyzed)
-	atomic.AddInt64(&s.funcsSkipped, l.funcsSkipped)
-	atomic.AddInt64(&s.funcsSpliced, l.funcsSpliced)
-	atomic.AddInt64(&s.funcsDegraded, l.funcsDegraded)
+// addEffort folds one function's engine work into the run's counters.
+func (s *Stats) addEffort(e *Stats) {
+	s.ExprEvals += e.ExprEvals
+	s.PhiEvals += e.PhiEvals
+	s.FlowVisits += e.FlowVisits
+	s.DerivedLoops += e.DerivedLoops
+	s.FailedDerives += e.FailedDerives
+	s.SubOps += e.SubOps
 }
 
 type driver struct {
-	prog    *ir.Program
-	cfg     Config
-	cg      *callgraph.Graph
-	ip      *interproc
-	workers int
-	ctx     context.Context
+	prog *ir.Program
+	cfg  Config
+	cg   *callgraph.Graph
+	ip   *interproc
+	ctx  context.Context
 
 	results []*FuncResult    // function index → latest FuncResult
 	prevIn  [][]vrange.Value // function index → input vector of the last engine run (nil: never ran)
@@ -122,15 +88,12 @@ type driver struct {
 	// poisoned marks functions whose engine panicked or ran out of step
 	// budget: their results are the degraded ⊥/heuristic fallback and
 	// they are quarantined for the remaining passes (the degraded
-	// contribution is already a fixpoint). Like results/prevIn, each slot
-	// is touched only by the task that owns the function's SCC, so wave
-	// parallelism stays race-free.
+	// contribution is already a fixpoint).
 	poisoned []bool
 
 	// diags collects diagnostics in per-function slots (index = function
-	// index) so the final Diagnostics slice is deterministic for every
-	// worker count: concatenated in function-index order, per-function in
-	// pass order.
+	// index): the final Diagnostics slice is concatenated in
+	// function-index order, per-function in pass order.
 	diags [][]Diagnostic
 
 	// sccFuncs orders each SCC's members by callOrder position, so
@@ -140,38 +103,33 @@ type driver struct {
 
 	// scratch holds one recycled engine allocation pool per function
 	// (dominator structures plus zeroed-on-reuse working arrays), created
-	// lazily under the same ownership discipline as results/prevIn: one
-	// task per function per wave, barriers between passes.
+	// lazily on the function's first engine run.
 	scratch []*engineScratch
 
 	// bodyEnc/bodyFPs lazily cache each function's canonical body
 	// encoding and fingerprint for Config.FuncStore keys (nil slices when
-	// no store is configured). Slots follow the per-function ownership
-	// discipline of results/prevIn: one task per function per wave, wave
-	// barriers between fills and later reads.
+	// no store is configured).
 	bodyEnc  [][]byte
 	bodyFPs  []uint64
 	configFP uint64
 
 	// rec is the run's telemetry recorder, nil when disabled. Counters go
-	// into per-function slots (owned by the task analyzing the function,
-	// like results and diags), so enabled telemetry is bit-identical
-	// across worker counts; wall-clock durations are the only
+	// into per-function slots; wall-clock durations are the only
 	// nondeterministic fields.
 	rec *telemetry.Recorder
 
-	// Non-convergence demotion accounting (filled single-threaded by
-	// demoteUnconverged): ⊤ cells demoted to ⊥, and range-certain branch
-	// predictions invalidated by the demotion and re-derived from
-	// heuristics (per function in staleCertainFn, by function index).
+	// Non-convergence demotion accounting (filled by demoteUnconverged):
+	// ⊤ cells demoted to ⊥, and range-certain branch predictions
+	// invalidated by the demotion and re-derived from heuristics (per
+	// function in staleCertainFn, by function index).
 	demotedTop     int64
 	staleCertain   int64
 	staleCertainFn []int
 
-	pass      int // current 0-based pass, for diagnostics
-	stats     statCounters
-	changed   atomic.Bool
-	cancelled atomic.Bool
+	pass      int   // current 0-based pass, for diagnostics
+	stats     Stats // counters accumulated over the run
+	changed   bool  // some interprocedural table moved this pass
+	cancelled bool
 }
 
 func newDriver(p *ir.Program, cfg Config) *driver {
@@ -188,7 +146,6 @@ func newDriver(p *ir.Program, cfg Config) *driver {
 		cfg:      cfg,
 		cg:       cg,
 		ip:       newInterproc(p, cfg, cg),
-		workers:  cfg.Workers,
 		results:  make([]*FuncResult, n),
 		prevIn:   make([][]vrange.Value, n),
 		prevFP:   make([]uint64, n),
@@ -209,9 +166,6 @@ func newDriver(p *ir.Program, cfg Config) *driver {
 			names[i] = f.Name
 		}
 		d.rec.Begin(names)
-	}
-	if d.workers <= 0 {
-		d.workers = runtime.GOMAXPROCS(0)
 	}
 	pos := make([]int, n)
 	for i, f := range callOrder(p) {
@@ -241,13 +195,13 @@ func (d *driver) run(ctx context.Context) (*Result, error) {
 	}
 	for pass := 0; pass < passes; pass++ {
 		if ctx.Err() != nil {
-			d.cancelled.Store(true)
+			d.cancelled = true
 			break
 		}
 		d.pass = pass
 		d.ip.beginPass(pass)
-		res.Stats.Passes++
-		d.changed.Store(false)
+		d.stats.Passes++
+		d.changed = false
 		var passStart int64
 		if d.rec != nil {
 			passStart = d.rec.Now()
@@ -256,31 +210,26 @@ func (d *driver) run(ctx context.Context) (*Result, error) {
 		if d.cfg.Trace != nil {
 			passSpan = d.cfg.Trace.Start(d.cfg.TraceParent, "driver", "pass "+strconv.Itoa(pass))
 		}
-		for wi, wave := range d.cg.Waves {
-			if d.cancelled.Load() || ctx.Err() != nil {
-				d.cancelled.Store(true)
+		for scc := range d.sccFuncs {
+			if d.cancelled {
 				break
 			}
-			waveSpan := telemetry.NoSpan
-			if d.cfg.Trace != nil {
-				waveSpan = d.cfg.Trace.Start(passSpan, "driver", "wave "+strconv.Itoa(wi))
-			}
-			d.runWave(wave, waveSpan)
-			d.cfg.Trace.End(waveSpan)
+			d.runSCC(scc, passSpan)
 		}
 		if d.cfg.Trace != nil {
-			d.cfg.Trace.Annotate(passSpan, "changed", strconv.FormatBool(d.changed.Load()))
+			d.cfg.Trace.Annotate(passSpan, "changed", strconv.FormatBool(d.changed))
 			d.cfg.Trace.End(passSpan)
 		}
 		if d.rec != nil {
 			d.rec.EndPass(passStart)
 		}
-		if d.cancelled.Load() || !d.changed.Load() {
+		if d.cancelled || !d.changed {
 			break
 		}
 	}
-	d.fillStats(&res.Stats)
-	if d.cancelled.Load() {
+	d.stats.RecWidens = d.ip.recWidens
+	res.Stats = d.stats
+	if d.cancelled {
 		diags := append(d.collectDiags(), Diagnostic{
 			Kind: DiagCancelled,
 			SCC:  -1,
@@ -290,7 +239,7 @@ func (d *driver) run(ctx context.Context) (*Result, error) {
 		d.traceDiags(diags)
 		return nil, &AnalysisError{Err: ctx.Err(), Stats: res.Stats, Diagnostics: diags}
 	}
-	res.Stats.Converged = !d.changed.Load()
+	res.Stats.Converged = !d.changed
 	if !res.Stats.Converged {
 		d.demoteUnconverged(res.Stats.Passes)
 		res.Stats.StaleCertain = d.staleCertain
@@ -318,7 +267,7 @@ func (d *driver) traceDiags(diags []Diagnostic) {
 		if dg.Func != "" {
 			name += " " + dg.Func
 		}
-		d.cfg.Trace.Mark(d.cfg.TraceParent, -1, "diag", name)
+		d.cfg.Trace.Mark(d.cfg.TraceParent, "diag", name)
 	}
 }
 
@@ -331,7 +280,7 @@ func (d *driver) finishTelemetry(res *Result, maxPasses int) {
 		return
 	}
 	snap := d.rec.Snapshot()
-	snap.BoundaryDrops = d.ip.drops.Load()
+	snap.BoundaryDrops = d.ip.drops
 
 	setSize := telemetry.NewHistogram("range-set-size", "⊤", "⊥", "∅", "1", "2", "3", "4", "5+")
 	span := telemetry.NewHistogram("range-span", "point", "≤8", "≤64", "≤512", "≤4096", ">4096", "symbolic")
@@ -384,10 +333,9 @@ func qualityClassBucket(c vrange.ValueClass) int {
 }
 
 // buildQuality assembles the prediction-quality digest from the final
-// results. It runs single-threaded after the fixpoint (and after the
-// non-convergence demotion), reads only final state, and consults
-// Config.Evidence off the hot path — so the digest is bit-identical for
-// every worker count and costs nothing when telemetry is off.
+// results. It runs after the fixpoint (and after the non-convergence
+// demotion), reads only final state, and consults Config.Evidence off
+// the hot path — so the digest costs nothing when telemetry is off.
 func (d *driver) buildQuality(snap *telemetry.Snapshot) *telemetry.Quality {
 	q := telemetry.NewQuality()
 	var widthSum float64
@@ -479,7 +427,7 @@ func (d *driver) buildQuality(snap *telemetry.Snapshot) *telemetry.Quality {
 		q.Funcs = append(q.Funcs, fq)
 	}
 	q.Loss["widen"] = snap.Totals.Widens
-	q.Loss["recursion-pin"] = d.ip.recWidens.Load()
+	q.Loss["recursion-pin"] = d.ip.recWidens
 	q.Loss["demotion"] = d.demotedTop
 	q.Loss["phi-hull"] = snap.Totals.PhiHulls
 	// assert-tighten counts precision *gained* (the ledger's negative
@@ -540,22 +488,8 @@ func observeValue(setSize, span *telemetry.Histogram, v vrange.Value) {
 	}
 }
 
-func (d *driver) fillStats(s *Stats) {
-	s.ExprEvals = d.stats.exprEvals
-	s.PhiEvals = d.stats.phiEvals
-	s.FlowVisits = d.stats.flowVisits
-	s.DerivedLoops = d.stats.derivedLoops
-	s.FailedDerives = d.stats.failedDerives
-	s.SubOps = d.stats.subOps
-	s.FuncsAnalyzed = d.stats.funcsAnalyzed
-	s.FuncsSkipped = d.stats.funcsSkipped
-	s.FuncsSpliced = d.stats.funcsSpliced
-	s.FuncsDegraded = d.stats.funcsDegraded
-	s.RecWidens = d.ip.recWidens.Load()
-}
-
 // collectDiags flattens the per-function diagnostic slots in
-// function-index order — the same order for every worker count.
+// function-index order.
 func (d *driver) collectDiags() []Diagnostic {
 	var out []Diagnostic
 	for _, ds := range d.diags {
@@ -653,65 +587,24 @@ func (d *driver) redoStalePredictions(fi int, fr *FuncResult) int {
 	return stale
 }
 
-// runWave analyzes every SCC of one wave, concurrently when the pool and
-// the wave allow it. waveSpan parents the per-SCC engine/splice/skip spans;
-// each worker slot draws its own trace lane so concurrent engine runs
-// render on separate rows.
-func (d *driver) runWave(wave []int, waveSpan telemetry.SpanID) {
-	nw := d.workers
-	if nw > len(wave) {
-		nw = len(wave)
-	}
-	if nw <= 1 {
-		for _, scc := range wave {
-			if d.cancelled.Load() {
-				return
-			}
-			d.runSCC(scc, waveSpan, 1)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(nw)
-	for w := 0; w < nw; w++ {
-		lane := int32(w + 1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(wave) || d.cancelled.Load() {
-					return
-				}
-				d.runSCC(wave[i], waveSpan, lane)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// runSCC analyzes one SCC's functions sequentially (mutual recursion needs
-// each member to observe the previous member's update within the pass),
-// with a per-task calc so sub-operation counts merge exactly. Each engine
-// run is panic-isolated: a panic (or an exhausted step budget) degrades
-// that one function to the ⊥/heuristic fallback and quarantines it,
-// instead of killing the process from a worker goroutine.
+// runSCC analyzes one SCC's functions in call order (mutual recursion
+// needs each member to observe the previous member's update within the
+// pass), with a fresh calc per function so sub-operation counts are exact.
+// Each engine run is panic-isolated: a panic (or an exhausted step budget)
+// degrades that one function to the ⊥/heuristic fallback and quarantines
+// it, instead of killing the process. passSpan parents the per-function
+// engine/splice spans and skip marks.
 //
 // A function that is not skipped ends in one of five outcomes — spliced
 // from the store, ok, degraded:panic, degraded:step-budget or cancelled —
 // and every outcome shares one close-out for results, counters and spans.
-func (d *driver) runSCC(scc int, waveSpan telemetry.SpanID, lane int32) {
-	var local statCounters
-	changed := false
+func (d *driver) runSCC(scc int, passSpan telemetry.SpanID) {
 	for _, fi := range d.sccFuncs[scc] {
 		if d.poisoned[fi] {
 			continue // quarantined: degraded result is already a fixpoint
 		}
-		if d.cancelled.Load() {
-			break
-		}
 		if d.ctx != nil && d.ctx.Err() != nil {
-			d.cancelled.Store(true)
+			d.cancelled = true
 			break
 		}
 		f := d.cg.Funcs[fi]
@@ -721,12 +614,12 @@ func (d *driver) runSCC(scc int, waveSpan telemetry.SpanID, lane int32) {
 			in.hash == d.prevFP[fi] && bitEqualVec(in.vec, d.prevIn[fi]) {
 			// Clean: the previous run saw bit-identical inputs, so a re-run
 			// would reproduce the stored result and table updates exactly.
-			local.funcsSkipped++
-			local.subOps += calc.SubOps
+			d.stats.FuncsSkipped++
+			d.stats.SubOps += calc.SubOps
 			if d.rec != nil {
 				d.rec.Skip(fi)
 			}
-			d.cfg.Trace.Mark(waveSpan, lane, "skip", f.Name)
+			d.cfg.Trace.Mark(passSpan, "skip", f.Name)
 			continue
 		}
 
@@ -750,7 +643,7 @@ func (d *driver) runSCC(scc int, waveSpan telemetry.SpanID, lane int32) {
 		if d.cfg.FuncStore != nil {
 			sKey = d.funcKey(fi, in)
 			if sf, ok := d.cfg.FuncStore.Lookup(sKey); ok {
-				span = d.cfg.Trace.StartLane(waveSpan, lane, "splice", f.Name)
+				span = d.cfg.Trace.Start(passSpan, "splice", f.Name)
 				if fr, bf, ok = d.spliceStored(fi, sf); ok {
 					outcome = "spliced"
 					effort = Stats{ExprEvals: sf.ExprEvals, PhiEvals: sf.PhiEvals, FlowVisits: sf.FlowVisits,
@@ -768,7 +661,7 @@ func (d *driver) runSCC(scc int, waveSpan telemetry.SpanID, lane int32) {
 			if d.rec != nil {
 				rm = d.rec.StartRun()
 			}
-			span = d.cfg.Trace.StartLane(waveSpan, lane, "engine", f.Name)
+			span = d.cfg.Trace.Start(passSpan, "engine", f.Name)
 			subOps0 := calc.SubOps
 			var panicked any
 			eng, panicked = d.runEngine(fi, calc, in, rm)
@@ -806,24 +699,24 @@ func (d *driver) runSCC(scc int, waveSpan telemetry.SpanID, lane int32) {
 		if outcome != "cancelled" {
 			d.results[fi] = fr
 			if d.ip.update(fi, fr.Val, bf, calc) {
-				changed = true
+				d.changed = true
 			}
 			if diag != nil {
 				// Quarantine: the degraded contribution is already a fixpoint.
 				d.poisoned[fi] = true
 				d.prevIn[fi] = nil
 				d.diags[fi] = append(d.diags[fi], *diag)
-				local.funcsDegraded++
+				d.stats.FuncsDegraded++
 			} else {
 				d.prevIn[fi] = in.vec
 				d.prevFP[fi] = in.hash
 			}
 			if outcome == "spliced" {
-				local.funcsSpliced++
+				d.stats.FuncsSpliced++
 			}
-			local.funcsAnalyzed++
-			local.addEffort(&effort)
-			local.subOps += calc.SubOps
+			d.stats.FuncsAnalyzed++
+			d.stats.addEffort(&effort)
+			d.stats.SubOps += calc.SubOps
 		}
 		if d.cfg.Trace != nil {
 			if outcome != "spliced" { // a splice span's category is its outcome
@@ -844,24 +737,20 @@ func (d *driver) runSCC(scc int, waveSpan telemetry.SpanID, lane int32) {
 			d.rec.EndRun(fi, rm, outcome)
 		}
 		if outcome == "cancelled" {
-			d.cancelled.Store(true)
+			d.cancelled = true
 			break
 		}
 		if outcome == "ok" {
 			eng.recycle()
 		}
 	}
-	d.stats.addAtomic(&local)
-	if changed {
-		d.changed.Store(true)
-	}
 }
 
 // runEngine runs one function's engine inside a recover barrier. On panic
 // it returns (nil, recovered-value); the partially mutated engine is
 // discarded (rm keeps whatever the run recorded up to the panic). When
-// telemetry is on, the run carries pprof goroutine labels so CPU profiles
-// attribute samples to the function/pass/wave under analysis.
+// telemetry is on, the run carries pprof labels so CPU profiles attribute
+// samples to the function and pass under analysis.
 func (d *driver) runEngine(fi int, calc *vrange.Calc, in *funcInputs, rm *telemetry.RunMetrics) (eng *engine, panicked any) {
 	defer func() {
 		if r := recover(); r != nil {

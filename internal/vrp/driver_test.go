@@ -53,32 +53,6 @@ func branchesEqual(t *testing.T, label string, a, b []Branch) {
 	}
 }
 
-// TestParallelMatchesSequential: Analyze with Workers: 8 must produce
-// byte-identical Branches() output — and identical work counters — to
-// Workers: 1, across the full corpus.
-func TestParallelMatchesSequential(t *testing.T) {
-	for _, cp := range corpus.All() {
-		prog := compileSrc(t, cp.Name, cp.Source)
-		seqCfg := DefaultConfig()
-		seqCfg.Workers = 1
-		parCfg := DefaultConfig()
-		parCfg.Workers = 8
-		seq, err := Analyze(prog, seqCfg)
-		if err != nil {
-			t.Fatalf("%s: %v", cp.Name, err)
-		}
-		par, err := Analyze(prog, parCfg)
-		if err != nil {
-			t.Fatalf("%s: %v", cp.Name, err)
-		}
-		branchesEqual(t, cp.Name, seq.Branches(), par.Branches())
-		if seq.Stats != par.Stats {
-			t.Errorf("%s: stats differ across worker counts:\nseq %+v\npar %+v",
-				cp.Name, seq.Stats, par.Stats)
-		}
-	}
-}
-
 // TestDirtySetSoundness: the incremental schedule (dirty-set skipping on)
 // must be bit-identical to a full every-pass re-analysis on the whole
 // corpus — skipping a clean function can never change an output.
@@ -86,10 +60,8 @@ func TestDirtySetSoundness(t *testing.T) {
 	for _, cp := range corpus.All() {
 		prog := compileSrc(t, cp.Name, cp.Source)
 		fullCfg := DefaultConfig()
-		fullCfg.Workers = 1
 		fullCfg.noSkip = true
 		incrCfg := DefaultConfig()
-		incrCfg.Workers = 1
 		full, err := Analyze(prog, fullCfg)
 		if err != nil {
 			t.Fatalf("%s: %v", cp.Name, err)

@@ -22,8 +22,9 @@ const (
 
 // engine runs the §3.3 worklist algorithm over one function. Its
 // interprocedural inputs are frozen into `in` by the driver before the run
-// starts, so the engine never reads shared mutable state — engines of
-// call-independent functions can run concurrently.
+// starts, so the engine never reads the live interprocedural tables: its
+// output is a function of `in` alone, which is what lets the driver skip a
+// run whose inputs are bit-identical to the last one.
 type engine struct {
 	f      *ir.Func
 	cfg    Config
@@ -98,9 +99,8 @@ type phiOp struct {
 // engineScratch holds the per-function allocations that survive across
 // engine runs: the dominator structures (the CFG never changes during an
 // analysis) and the recycled working arrays. The driver keeps one per
-// function under the same ownership discipline as its results slot —
-// a function is analyzed by exactly one task per wave and re-runs are
-// ordered by the wave barriers, so reuse is race-free. Arrays that escape
+// function, next to its results slot; runs of one function never overlap,
+// so each run can reuse the previous run's arrays. Arrays that escape
 // into the FuncResult (val, edgeFreq, branchP, branchSrc) are NOT here:
 // they are allocated fresh per run. A function that degrades (panic or
 // step budget) is quarantined and never re-runs, so a half-mutated

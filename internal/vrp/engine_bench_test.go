@@ -70,9 +70,7 @@ func main() {
 }
 
 // BenchmarkAnalyzeManyFuncs measures the driver on a wide program (32
-// independent loop-nest kernels) under the sequential and the parallel
-// schedule; the two produce bit-identical results, so the ratio is pure
-// driver speedup.
+// independent loop-nest kernels).
 func BenchmarkAnalyzeManyFuncs(b *testing.B) {
 	src := ""
 	call := ""
@@ -91,22 +89,12 @@ func kernel%d(n, m) {
 	}
 	src += "\nfunc main() {\n" + call + "}\n"
 	p := mustCompile(b, src)
-	for _, workers := range []int{1, 0} {
-		name := "seq"
-		if workers == 0 {
-			name = "par"
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Analyze(p, DefaultConfig()); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			cfg := DefaultConfig()
-			cfg.Workers = workers
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := Analyze(p, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
@@ -164,12 +152,10 @@ func kernel%d(n, m) {
 	}
 	src += "\nfunc main() {\n" + call + "}\n"
 	p := mustCompile(b, src)
-	cfg := DefaultConfig()
-	cfg.Workers = 1
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Analyze(p, cfg); err != nil {
+		if _, err := Analyze(p, DefaultConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -29,9 +29,7 @@ func main() {
 	print(t);
 }`)
 	f0, s0 := freq.Stats()
-	cfg := DefaultConfig()
-	cfg.Workers = 1
-	res, err := Analyze(p, cfg)
+	res, err := Analyze(p, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

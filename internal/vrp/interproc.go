@@ -2,7 +2,6 @@ package vrp
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"vrp/internal/callgraph"
 	"vrp/internal/ir"
@@ -14,14 +13,11 @@ import (
 // recomputed on demand as the weighted merge over callers, so the tables
 // converge deterministically across passes.
 //
-// Storage is dense and indexed by call-graph function index, for two
-// reasons. First, determinism: merges iterate callers in function-index
-// order, never map order, so float accumulation order — and therefore every
-// output bit — is identical run to run and worker count to worker count.
-// Second, race freedom: during a parallel wave each running function f only
-// writes its own slots (retVals[f], and args[callee][pos-of-f]) and only
-// reads slots written by earlier waves, so distinct slice elements are the
-// only memory shared between concurrent tasks.
+// Storage is dense and indexed by call-graph function index, so merges
+// iterate callers in function-index order, never map order: float
+// accumulation order — and therefore every output bit — is identical run
+// to run. Each function's run writes only its own slots (retVals[f], and
+// args[callee][pos-of-f]).
 type interproc struct {
 	cfg  Config
 	prog *ir.Program
@@ -35,26 +31,24 @@ type interproc struct {
 
 	// drops counts symbolic values collapsed to ⊥ at function boundaries
 	// by sanitize — the telemetry layer's measure of interprocedural
-	// precision loss. Atomic because concurrent wave tasks fold results.
-	drops atomic.Int64
+	// precision loss.
+	drops int64
 
 	// Recursion widening (Config.RecWidenAfter): pin flags for return
 	// ranges and same-SCC argument positions. A slot still moving once
 	// recWidenAfter full passes have completed (pass is the driver's
-	// 0-based pass index, advanced before each pass's waves launch) is
-	// pinned — pass-based rather than per-slot move counting, so every
-	// straggler pins in the same pass and late-starting slots cannot
-	// cascade past MaxPasses. The race discipline matches args/retVals —
-	// retPinned[fi] is touched only by fi's own task, argPinned[ci][pos]
-	// only by the task of caller Callers[ci][pos] — so distinct slice
-	// elements remain the only shared memory.
+	// 0-based pass index, advanced before each pass starts) is pinned —
+	// pass-based rather than per-slot move counting, so every straggler
+	// pins in the same pass and late-starting slots cannot cascade past
+	// MaxPasses. Like args/retVals, retPinned[fi] is written only by fi's
+	// own run and argPinned[ci][pos] only by caller Callers[ci][pos]'s.
 	recWidenAfter int
 	pass          int
 	assumedMag    int64
 	recursive     []bool // function index → member of a cyclic SCC
 	retPinned     []bool // function index → return range widened
 	argPinned     [][]bool
-	recWidens     atomic.Int64 // slots pinned; Stats.RecWidens
+	recWidens     int64 // slots pinned; Stats.RecWidens
 }
 
 type callerArgs struct {
@@ -131,18 +125,9 @@ func (ip *interproc) clampMag(v vrange.Value) vrange.Value {
 		return v
 	}
 	m := ip.assumedMag
-	return hullRange(min64(max64(lo, -m), m), min64(max64(hi, -m), m))
+	return hullRange(min(max(lo, -m), m), min(max(hi, -m), m))
 }
 
-// widenPinned folds a freshly computed value into a pinned slot holding
-// prev. This is classic interval widening over the clamped hulls: a bound
-// that moved outward since prev jumps straight to ±assumedMag, a bound at
-// rest (or moving inward) keeps its previous position. The stored hull
-// therefore only ever grows, inside the finite ladder
-// {prev bound, ±assumedMag} — at most two more moves after the pin — which
-// is the termination guarantee for recursive fixpoints whose exact
-// descending chain (e.g. ackermann's argument ranges growing one value
-// per pass) would outlast MaxPasses.
 // pinValue is the value a slot takes at the moment it is pinned: the
 // full assumed hull. Saturating immediately — rather than letting
 // widenPinned walk the {bound, ±assumedMag} ladder over later passes —
@@ -158,6 +143,15 @@ func (ip *interproc) pinValue(cur vrange.Value) vrange.Value {
 	return hullRange(-ip.assumedMag, ip.assumedMag)
 }
 
+// widenPinned folds a freshly computed value into a pinned slot holding
+// prev. This is classic interval widening over the clamped hulls: a bound
+// that moved outward since prev jumps straight to ±assumedMag, a bound at
+// rest (or moving inward) keeps its previous position. The stored hull
+// therefore only ever grows, inside the finite ladder
+// {prev bound, ±assumedMag} — at most two more moves after the pin — which
+// is the termination guarantee for recursive fixpoints whose exact
+// descending chain (e.g. ackermann's argument ranges growing one value
+// per pass) would outlast MaxPasses.
 func (ip *interproc) widenPinned(prev, cur vrange.Value) vrange.Value {
 	cc := ip.clampMag(cur)
 	pl, ph, ok := numericHull(prev)
@@ -178,23 +172,8 @@ func (ip *interproc) widenPinned(prev, cur vrange.Value) vrange.Value {
 	return hullRange(lo, hi)
 }
 
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // beginPass records the driver's 0-based pass index; widening arms once
-// recWidenAfter full passes have completed. Called before the pass's
-// waves launch, so tasks observe it without racing.
+// recWidenAfter full passes have completed. Called before each pass.
 func (ip *interproc) beginPass(pass int) { ip.pass = pass }
 
 // widenArmed reports whether recursion widening pins moving slots in
@@ -218,7 +197,7 @@ func (ip *interproc) maybeWidenRet(fi int, v vrange.Value) vrange.Value {
 	}
 	if ip.widenArmed() {
 		ip.retPinned[fi] = true
-		ip.recWidens.Add(1)
+		ip.recWidens++
 		return ip.pinValue(v)
 	}
 	return v
@@ -277,7 +256,7 @@ func (ip *interproc) sanitize(v vrange.Value) vrange.Value {
 	}
 	for _, r := range v.Ranges {
 		if !r.Lo.IsNum() || !r.Hi.IsNum() {
-			ip.drops.Add(1)
+			ip.drops++
 			return vrange.BottomValue()
 		}
 	}
@@ -291,8 +270,7 @@ func (ip *interproc) sanitize(v vrange.Value) vrange.Value {
 // from an engine run normally, or from a degraded ⊥/heuristic result when
 // the engine panicked or ran out of budget — folding the degraded values
 // keeps callers and callees sound (they see ⊥, never a stale optimistic
-// range). Only fi's own slots are written, so concurrent updates of
-// call-independent functions within one wave never touch the same memory.
+// range). Only fi's own slots are written.
 func (ip *interproc) update(fi int, vals []vrange.Value, blockFreq func(*ir.Block) float64, calc *vrange.Calc) bool {
 	if !ip.cfg.Interprocedural {
 		return false
@@ -398,7 +376,7 @@ func (ip *interproc) update(fi int, vals []vrange.Value, blockFreq func(*ir.Bloc
 				}
 			} else if prev != nil && !sameArgs(prev, ca) && ip.widenArmed() {
 				ip.argPinned[ci][pos] = true
-				ip.recWidens.Add(1)
+				ip.recWidens++
 				for i := range ca.vals {
 					ca.vals[i] = ip.pinValue(ca.vals[i])
 				}

@@ -8,11 +8,10 @@ import (
 	"vrp/internal/telemetry"
 )
 
-func qualityOf(t *testing.T, src string, workers int, mutate func(*Config)) (*Result, *telemetry.Quality) {
+func qualityOf(t *testing.T, src string, mutate func(*Config)) (*Result, *telemetry.Quality) {
 	t.Helper()
 	p := compile(t, src)
 	cfg := DefaultConfig()
-	cfg.Workers = workers
 	cfg.Telemetry = telemetry.New()
 	if mutate != nil {
 		mutate(&cfg)
@@ -31,7 +30,7 @@ func qualityOf(t *testing.T, src string, workers int, mutate func(*Config)) (*Re
 // program: every branch attributed to exactly one predictor bucket,
 // every final cell classed, and the per-function scores present.
 func TestQualityDigestPopulated(t *testing.T) {
-	res, q := qualityOf(t, telemetrySrc, 1, nil)
+	res, q := qualityOf(t, telemetrySrc, nil)
 	if q.Branches == 0 {
 		t.Fatal("no branches in quality digest")
 	}
@@ -65,15 +64,15 @@ func TestQualityDigestPopulated(t *testing.T) {
 	}
 }
 
-// TestQualityDeterministicAcrossWorkers extends the bit-identity
-// contract to the quality digest: the per-cell class histogram, loss
-// ledger, and per-function scores are built from the final fixpoint, so
-// they must not depend on the schedule that reached it.
-func TestQualityDeterministicAcrossWorkers(t *testing.T) {
-	_, seq := qualityOf(t, telemetrySrc, 1, nil)
-	_, par := qualityOf(t, telemetrySrc, 8, nil)
-	if !reflect.DeepEqual(seq, par) {
-		t.Errorf("quality digests differ between Workers=1 and Workers=8:\n%v\nvs\n%v", seq.Summary(), par.Summary())
+// TestQualityDeterministic extends the bit-identity contract to the
+// quality digest: the per-cell class histogram, loss ledger, and
+// per-function scores are built from the final fixpoint, so two runs
+// must produce identical digests.
+func TestQualityDeterministic(t *testing.T) {
+	_, first := qualityOf(t, telemetrySrc, nil)
+	_, second := qualityOf(t, telemetrySrc, nil)
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("quality digests differ between two runs:\n%v\nvs\n%v", first.Summary(), second.Summary())
 	}
 }
 
@@ -90,8 +89,8 @@ func TestQualityDisabledIsNil(t *testing.T) {
 // checks the precision-loss ledger blames it: the widen counter must
 // fire, and the certain fraction must not exceed the default run's.
 func TestQualityLossAttribution(t *testing.T) {
-	_, def := qualityOf(t, telemetrySrc, 1, nil)
-	_, starved := qualityOf(t, telemetrySrc, 1, func(cfg *Config) { cfg.MaxEvals = 1 })
+	_, def := qualityOf(t, telemetrySrc, nil)
+	_, starved := qualityOf(t, telemetrySrc, func(cfg *Config) { cfg.MaxEvals = 1 })
 	if starved.Loss["widen"] == 0 {
 		t.Error("MaxEvals=1 recorded no widening loss")
 	}
@@ -118,7 +117,7 @@ func main() {
 	if (input() < 5) { print(2); }
 }
 `
-	_, q := qualityOf(t, src, 1, func(cfg *Config) {
+	_, q := qualityOf(t, src, func(cfg *Config) {
 		cfg.Fallback = func(f *ir.Func, br *ir.Instr) float64 { return 0.88 }
 		cfg.Evidence = func(f *ir.Func, br *ir.Instr) []EvidenceItem {
 			return []EvidenceItem{{Name: "loop-branch", Prob: 0.88}, {Name: "opcode", Prob: 0.84}}
@@ -156,7 +155,7 @@ func main() {
 	print(even(9));
 }
 `
-	res, q := qualityOf(t, src, 1, func(cfg *Config) {
+	res, q := qualityOf(t, src, func(cfg *Config) {
 		cfg.MaxPasses = 2
 		cfg.RecWidenAfter = 0
 	})

@@ -13,8 +13,7 @@ import (
 
 // The failure-path suite: non-convergence demotion, context cancellation,
 // panic isolation, and step-budget degradation. Every surviving result
-// must be bit-deterministic across worker counts, and the whole file runs
-// under -race via `make check` (the driver is parallel by default).
+// must be bit-deterministic from run to run.
 
 // mutualSrc is a mutually recursive program: even ↔ odd form one SCC, so
 // the interprocedural fixpoint genuinely needs multiple passes.
@@ -141,94 +140,83 @@ func TestNonConvergenceDemotesTop(t *testing.T) {
 }
 
 // TestNonConvergenceDeterministic: the demoted results and diagnostics of
-// an unconverged run are bit-identical for Workers 1 and 8.
+// an unconverged run are bit-identical from run to run.
 func TestNonConvergenceDeterministic(t *testing.T) {
 	prog := compileSrc(t, "mutual", mutualSrc)
-	run := func(workers int) *Result {
+	run := func() *Result {
 		cfg := DefaultConfig()
 		cfg.MaxPasses = 1
-		cfg.Workers = workers
 		res, err := Analyze(prog, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	seq, par := run(1), run(8)
-	branchesEqual(t, "nonconvergence", seq.Branches(), par.Branches())
-	valsEqual(t, "nonconvergence", prog, seq, par)
-	diagsEqual(t, "nonconvergence", seq.Diagnostics, par.Diagnostics)
-	if seq.Stats.Converged != par.Stats.Converged {
-		t.Error("Converged differs across worker counts")
+	first, second := run(), run()
+	branchesEqual(t, "nonconvergence", first.Branches(), second.Branches())
+	valsEqual(t, "nonconvergence", prog, first, second)
+	diagsEqual(t, "nonconvergence", first.Diagnostics, second.Diagnostics)
+	if first.Stats != second.Stats {
+		t.Errorf("stats differ between two runs:\n%+v\n%+v", first.Stats, second.Stats)
 	}
 }
 
 // TestCancelledContext: an already-cancelled context aborts before any
 // pass, returning the typed *AnalysisError that unwraps to
-// context.Canceled, for every worker count.
+// context.Canceled.
 func TestCancelledContext(t *testing.T) {
 	prog := compileSrc(t, "mutual", mutualSrc)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, workers := range []int{1, 8} {
-		cfg := DefaultConfig()
-		cfg.Workers = workers
-		res, err := AnalyzeContext(ctx, prog, cfg)
-		if res != nil {
-			t.Fatalf("workers=%d: cancelled analysis returned a result", workers)
-		}
-		var ae *AnalysisError
-		if !errors.As(err, &ae) {
-			t.Fatalf("workers=%d: error is %T, want *AnalysisError", workers, err)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: error does not unwrap to context.Canceled: %v", workers, err)
-		}
-		if ae.Stats.Passes != 0 {
-			t.Errorf("workers=%d: pre-cancelled run reports %d passes", workers, ae.Stats.Passes)
-		}
-		if len(diagsOfKind(ae.Diagnostics, DiagCancelled)) == 0 {
-			t.Errorf("workers=%d: no cancellation diagnostic", workers)
-		}
+	res, err := AnalyzeContext(ctx, prog, DefaultConfig())
+	if res != nil {
+		t.Fatal("cancelled analysis returned a result")
+	}
+	var ae *AnalysisError
+	if !errors.As(err, &ae) {
+		t.Fatalf("error is %T, want *AnalysisError", err)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("error does not unwrap to context.Canceled: %v", err)
+	}
+	if ae.Stats.Passes != 0 {
+		t.Errorf("pre-cancelled run reports %d passes", ae.Stats.Passes)
+	}
+	if len(diagsOfKind(ae.Diagnostics, DiagCancelled)) == 0 {
+		t.Error("no cancellation diagnostic")
 	}
 }
 
-// TestMidWaveCancellation: cancelling while the first wave's engine runs
-// (via the test hook) stops the fixpoint mid-flight; the driver returns
-// the typed error with the partial stats of the work already done. Runs
-// under -race in `make check` with Workers 8, exercising the concurrent
-// cancellation path.
+// TestMidWaveCancellation: cancelling while the first SCC's engine runs
+// (via the test hook) stops the fixpoint mid-pass; the driver returns the
+// typed error with the partial stats of the work already done.
 func TestMidWaveCancellation(t *testing.T) {
 	prog := compileSrc(t, "mutual", mutualSrc)
-	for _, workers := range []int{1, 8} {
-		ctx, cancel := context.WithCancel(context.Background())
-		cfg := DefaultConfig()
-		cfg.Workers = workers
-		cfg.testHookEngineRun = func(f *ir.Func) {
-			if f.Name == "main" {
-				cancel() // fires during wave 0, before even/odd run
-			}
+	ctx, cancel := context.WithCancel(context.Background())
+	cfg := DefaultConfig()
+	cfg.testHookEngineRun = func(f *ir.Func) {
+		if f.Name == "main" {
+			cancel() // fires in SCC 0, before even/odd run
 		}
-		res, err := AnalyzeContext(ctx, prog, cfg)
-		cancel()
-		if res != nil {
-			t.Fatalf("workers=%d: cancelled analysis returned a result", workers)
-		}
-		var ae *AnalysisError
-		if !errors.As(err, &ae) || !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: want *AnalysisError wrapping context.Canceled, got %v", workers, err)
-		}
-		// main itself completes (cancellation is observed between
-		// functions); the even/odd SCC must not have run.
-		if ae.Stats.FuncsAnalyzed > 1 {
-			t.Errorf("workers=%d: %d functions analyzed after mid-wave cancel, want ≤1",
-				workers, ae.Stats.FuncsAnalyzed)
-		}
+	}
+	res, err := AnalyzeContext(ctx, prog, cfg)
+	cancel()
+	if res != nil {
+		t.Fatal("cancelled analysis returned a result")
+	}
+	var ae *AnalysisError
+	if !errors.As(err, &ae) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("want *AnalysisError wrapping context.Canceled, got %v", err)
+	}
+	// main itself completes (cancellation is observed between
+	// functions); the even/odd SCC must not have run.
+	if ae.Stats.FuncsAnalyzed > 1 {
+		t.Errorf("%d functions analyzed after mid-pass cancel, want ≤1", ae.Stats.FuncsAnalyzed)
 	}
 }
 
-// TestPanicIsolation: a panic inside one function's engine — on a pooled
-// goroutine under Workers 8 — must not kill the process. The panicking
+// TestPanicIsolation: a panic inside one function's engine must not kill
+// the process. The panicking
 // function degrades to ⊥ values with heuristic-only branch probabilities;
 // every function outside its dependence chain keeps exact results; and a
 // diagnostic names the function, its SCC, and the panic value.
@@ -257,9 +245,8 @@ func main() {
 		t.Fatal(err)
 	}
 
-	run := func(workers int) *Result {
+	run := func() *Result {
 		cfg := DefaultConfig()
-		cfg.Workers = workers
 		cfg.testHookEngineRun = func(f *ir.Func) {
 			if f.Name == "bad" {
 				panic("injected engine failure")
@@ -267,11 +254,11 @@ func main() {
 		}
 		res, err := Analyze(prog, cfg)
 		if err != nil {
-			t.Fatalf("workers=%d: analysis died instead of isolating the panic: %v", workers, err)
+			t.Fatalf("analysis died instead of isolating the panic: %v", err)
 		}
 		return res
 	}
-	res := run(8)
+	res := run()
 
 	bad := prog.ByName["bad"]
 	fr := res.Funcs[bad]
@@ -327,30 +314,29 @@ func main() {
 		}
 	}
 
-	// And the degraded world is itself deterministic across worker counts.
-	seq := run(1)
-	branchesEqual(t, "panic", seq.Branches(), res.Branches())
-	valsEqual(t, "panic", prog, seq, res)
-	diagsEqual(t, "panic", seq.Diagnostics, res.Diagnostics)
+	// And the degraded world is itself deterministic from run to run.
+	again := run()
+	branchesEqual(t, "panic", again.Branches(), res.Branches())
+	valsEqual(t, "panic", prog, again, res)
+	diagsEqual(t, "panic", again.Diagnostics, res.Diagnostics)
 }
 
 // TestStepBudgetDegrades: a tiny MaxEngineSteps budget degrades every
 // non-trivial function to ⊥/heuristic — with a diagnostic per function —
 // instead of letting a pathological input spin the engine, and the
-// degraded results are bit-identical across worker counts.
+// degraded results are bit-identical from run to run.
 func TestStepBudgetDegrades(t *testing.T) {
 	prog := compileSrc(t, "mutual", mutualSrc)
-	run := func(workers int) *Result {
+	run := func() *Result {
 		cfg := DefaultConfig()
 		cfg.MaxEngineSteps = 1
-		cfg.Workers = workers
 		res, err := Analyze(prog, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	res := run(8)
+	res := run()
 	sb := diagsOfKind(res.Diagnostics, DiagStepBudget)
 	if len(sb) == 0 {
 		t.Fatal("no step-budget diagnostics with MaxEngineSteps=1")
@@ -377,10 +363,10 @@ func TestStepBudgetDegrades(t *testing.T) {
 		t.Error("step-budget run reports ⊤ values")
 	}
 
-	seq := run(1)
-	branchesEqual(t, "stepbudget", seq.Branches(), res.Branches())
-	valsEqual(t, "stepbudget", prog, seq, res)
-	diagsEqual(t, "stepbudget", seq.Diagnostics, res.Diagnostics)
+	again := run()
+	branchesEqual(t, "stepbudget", again.Branches(), res.Branches())
+	valsEqual(t, "stepbudget", prog, again, res)
+	diagsEqual(t, "stepbudget", again.Diagnostics, res.Diagnostics)
 }
 
 // TestGenerousBudgetIsInvisible: a budget large enough for the program

@@ -63,8 +63,8 @@ func main() {
 	}
 }
 
-// TestStatsInterprocedural covers the caller/callee schedule. main sits in
-// wave 0, double in wave 1. Pass 0 analyzes main (seeing double's
+// TestStatsInterprocedural covers the caller/callee schedule. main is
+// SCC 0, double SCC 1. Pass 0 analyzes main (seeing double's
 // optimistic ⊤ return) and then double with the argument {21}; double's
 // return lowers to {42}, marking the pass changed. Pass 1 re-analyzes
 // main — its frozen callee-return input changed — while double's inputs

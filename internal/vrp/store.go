@@ -112,7 +112,7 @@ type StoredFunc struct {
 	Branches []StoredBranch
 	Derived  []int32 // ordinals of φs whose value came from a §3.6 derivation
 
-	// Engine effort replayed into the splicing run's statCounters.
+	// Engine effort replayed into the splicing run's Stats.
 	// SubOps covers only the engine's own sub-operations: the input
 	// snapshot and interprocedural update are re-executed live on splice
 	// and account for their own.
@@ -190,9 +190,8 @@ func EncodeFuncBody(f *ir.Func, prog *ir.Program) []byte {
 }
 
 // configFingerprint digests the Config fields that influence analysis
-// output bits. Workers, Telemetry and Trace/TraceParent are excluded
-// (bit-identical by contract — observers never feed back into the
-// lattice); a custom Fallback is marked but cannot be distinguished
+// output bits. Workers (ignored), Telemetry and Trace/TraceParent are
+// excluded (observers never feed back into the lattice); a custom Fallback is marked but cannot be distinguished
 // from another custom Fallback — see the FuncStore contract.
 func configFingerprint(cfg Config) uint64 {
 	h := vrange.NewHasher()
@@ -224,9 +223,7 @@ func configFingerprint(cfg Config) uint64 {
 }
 
 // bodyKey returns fi's canonical body encoding and fingerprint, computed
-// once per driver and cached. Slot ownership follows the driver's
-// per-function discipline (one task per function per wave, barriers
-// between waves), so lazy fill is race-free.
+// once per driver and cached.
 func (d *driver) bodyKey(fi int) ([]byte, uint64) {
 	if d.bodyEnc[fi] == nil {
 		d.bodyEnc[fi] = EncodeFuncBody(d.cg.Funcs[fi], d.prog)

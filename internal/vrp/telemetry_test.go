@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
@@ -12,7 +11,7 @@ import (
 )
 
 // telemetrySrc mixes the behaviours the snapshot must account for: a
-// derived loop, interprocedural calls analyzed across waves, branches and
+// derived loop, interprocedural calls analyzed across SCCs, branches and
 // assertions — enough to populate every counter and histogram.
 const telemetrySrc = `
 func clamp(x) {
@@ -31,18 +30,17 @@ func main() {
 }
 `
 
-func telemetrySnapshot(t *testing.T, workers int) (*Result, *telemetry.Snapshot) {
+func telemetrySnapshot(t *testing.T) (*Result, *telemetry.Snapshot) {
 	t.Helper()
-	res, _ := tracedAnalyze(t, workers, DefaultConfig())
+	res, _ := tracedAnalyze(t, DefaultConfig())
 	return res, res.Telemetry
 }
 
 // tracedAnalyze analyzes telemetrySrc with telemetry and a span tree
 // attached, the tree rooted at a "vrp" span as in a vrpd request.
-func tracedAnalyze(t *testing.T, workers int, cfg Config) (*Result, []telemetry.Span) {
+func tracedAnalyze(t *testing.T, cfg Config) (*Result, []telemetry.Span) {
 	t.Helper()
 	p := compile(t, telemetrySrc)
-	cfg.Workers = workers
 	cfg.Telemetry = telemetry.New()
 	cfg.Trace = telemetry.NewTrace()
 	cfg.TraceParent = cfg.Trace.Start(telemetry.NoSpan, "phase", "vrp")
@@ -57,9 +55,8 @@ func tracedAnalyze(t *testing.T, workers int, cfg Config) (*Result, []telemetry.
 	return res, cfg.Trace.Spans()
 }
 
-// spanKeys renders the schedule-independent identity of every span — its
-// category, name, parent's name and outcome — as a sorted multiset.
-// Creation order and lanes depend on which worker ran what; these do not.
+// spanKeys renders the timing-free identity of every span — its
+// category, name, parent's name and outcome — in creation order.
 func spanKeys(spans []telemetry.Span) []string {
 	keys := make([]string, len(spans))
 	for i, sp := range spans {
@@ -69,25 +66,22 @@ func spanKeys(spans []telemetry.Span) []string {
 		}
 		keys[i] = sp.Cat + "|" + sp.Name + "|" + parent + "|" + sp.Args["outcome"]
 	}
-	sort.Strings(keys)
 	return keys
 }
 
-// TestTelemetryDeterministicAcrossWorkers is the telemetry half of the
-// driver's bit-identity contract: the aggregated snapshot — counters and
-// histograms — and the span tree's structure must be identical for the
-// sequential and the maximally parallel schedule, once wall-clock fields
-// are canonicalized away. Run under -race this also shakes out
-// unsynchronized slot access.
-func TestTelemetryDeterministicAcrossWorkers(t *testing.T) {
-	seq, seqSpans := tracedAnalyze(t, 1, DefaultConfig())
-	par, parSpans := tracedAnalyze(t, 8, DefaultConfig())
-	a, b := seq.Telemetry.Canon(), par.Telemetry.Canon()
+// TestTelemetryDeterministic is the telemetry half of the driver's
+// bit-identity contract: the aggregated snapshot — counters and
+// histograms — and the span tree's structure must be identical from run
+// to run, once wall-clock fields are canonicalized away.
+func TestTelemetryDeterministic(t *testing.T) {
+	first, firstSpans := tracedAnalyze(t, DefaultConfig())
+	second, secondSpans := tracedAnalyze(t, DefaultConfig())
+	a, b := first.Telemetry.Canon(), second.Telemetry.Canon()
 	if !reflect.DeepEqual(a, b) {
-		t.Errorf("snapshots differ between Workers=1 and Workers=8:\n%v\nvs\n%v", a.Summary(), b.Summary())
+		t.Errorf("snapshots differ between two runs:\n%v\nvs\n%v", a.Summary(), b.Summary())
 	}
-	if ka, kb := spanKeys(seqSpans), spanKeys(parSpans); !reflect.DeepEqual(ka, kb) {
-		t.Errorf("span trees differ:\nseq: %v\npar: %v", ka, kb)
+	if ka, kb := spanKeys(firstSpans), spanKeys(secondSpans); !reflect.DeepEqual(ka, kb) {
+		t.Errorf("span trees differ:\nfirst:  %v\nsecond: %v", ka, kb)
 	}
 }
 
@@ -95,7 +89,7 @@ func TestTelemetryDeterministicAcrossWorkers(t *testing.T) {
 // independently counted Stats: runs and skips must agree exactly, and the
 // pass count and wall-clock slots must line up.
 func TestTelemetryMatchesStats(t *testing.T) {
-	res, snap := telemetrySnapshot(t, 1)
+	res, snap := telemetrySnapshot(t)
 	if snap.Totals.Runs != res.Stats.FuncsAnalyzed {
 		t.Errorf("telemetry runs = %d, stats FuncsAnalyzed = %d", snap.Totals.Runs, res.Stats.FuncsAnalyzed)
 	}
@@ -152,7 +146,7 @@ func TestTelemetryDisabledIsFree(t *testing.T) {
 func TestTelemetryDegradedRun(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxEngineSteps = 1
-	res, spans := tracedAnalyze(t, 0, cfg)
+	res, spans := tracedAnalyze(t, cfg)
 	if res.Telemetry.Totals.Degraded == 0 {
 		t.Error("no degraded runs recorded")
 	}
@@ -178,11 +172,12 @@ func TestTelemetryDegradedRun(t *testing.T) {
 }
 
 // TestTelemetryTraceExport round-trips a real analysis through the Chrome
-// trace writer: the JSON must parse and hold one record per span plus a
-// thread-name row per lane, and a function the dirty set skipped must
-// appear as a zero-duration skip span under a wave.
+// trace writer: the JSON must parse and hold one record per span plus the
+// thread-name row, every engine run must be a span under its pass, and a
+// function the dirty set skipped must appear as a zero-duration skip span
+// under its pass.
 func TestTelemetryTraceExport(t *testing.T) {
-	res, spans := tracedAnalyze(t, 0, DefaultConfig())
+	res, spans := tracedAnalyze(t, DefaultConfig())
 	var buf bytes.Buffer
 	if err := telemetry.WriteSpanChromeTrace(&buf, spans); err != nil {
 		t.Fatalf("WriteSpanChromeTrace: %v", err)
@@ -198,12 +193,8 @@ func TestTelemetryTraceExport(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
-	lanes := map[int32]bool{}
-	for _, sp := range spans {
-		lanes[sp.Lane] = true
-	}
-	if want := len(spans) + len(lanes); len(parsed.TraceEvents) != want {
-		t.Errorf("trace has %d records, want %d spans + %d lane rows", len(parsed.TraceEvents), len(spans), len(lanes))
+	if want := len(spans) + 1; len(parsed.TraceEvents) != want {
+		t.Errorf("trace has %d records, want %d spans + 1 thread row", len(parsed.TraceEvents), len(spans))
 	}
 	cats := map[string]int{}
 	for _, ev := range parsed.TraceEvents {
@@ -218,9 +209,13 @@ func TestTelemetryTraceExport(t *testing.T) {
 		t.Errorf("%d engine spans, Stats.FuncsAnalyzed = %d", cats["engine"], res.Stats.FuncsAnalyzed)
 	}
 	for _, sp := range spans {
-		if sp.Cat == "skip" && (sp.Dur != 0 || !strings.HasPrefix(spans[sp.Parent].Name, "wave ")) {
-			t.Errorf("skip span %q: dur %d parent %q, want a zero-duration mark under a wave",
+		underPass := sp.Parent != telemetry.NoSpan && strings.HasPrefix(spans[sp.Parent].Name, "pass ")
+		if sp.Cat == "skip" && (sp.Dur != 0 || !underPass) {
+			t.Errorf("skip span %q: dur %d parent %q, want a zero-duration mark under a pass",
 				sp.Name, sp.Dur, spans[sp.Parent].Name)
+		}
+		if sp.Cat == "engine" && !underPass {
+			t.Errorf("engine span %q parented on %q, want a pass", sp.Name, spans[sp.Parent].Name)
 		}
 	}
 }

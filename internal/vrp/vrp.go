@@ -97,10 +97,8 @@ type Config struct {
 	// MaxFreq caps edge frequencies (relative to one function entry).
 	MaxFreq float64
 
-	// Workers bounds the number of per-function engines running
-	// concurrently within one call-graph wave: 0 picks one per available
-	// CPU (GOMAXPROCS), 1 is the fully sequential schedule. Results are
-	// bit-identical for every setting.
+	// Workers is ignored: the driver runs one sequential schedule.
+	// perfbench is its only setter.
 	Workers int
 
 	// MaxEngineSteps bounds the worklist items one engine run may process
@@ -132,10 +130,10 @@ type Config struct {
 	Telemetry *telemetry.Recorder
 
 	// Trace, when non-nil, receives the run's request-scoped span tree:
-	// a "callgraph" span for condensation, one span per fixpoint pass
-	// and wave, one per engine run (on the worker's lane) and one per
-	// store splice, zero-duration "skip" marks under the wave that
-	// skipped a function, and one zero-duration "diag" mark per
+	// a "callgraph" span for condensation, one span per fixpoint pass,
+	// one per engine run and one per store splice under their pass,
+	// zero-duration "skip" marks under the pass that skipped a
+	// function, and one zero-duration "diag" mark per
 	// diagnostic, all parented under TraceParent. Unlike Telemetry,
 	// spans carry only wall-clock timings and labels — nothing reads
 	// them back, so tracing can never perturb analysis results. nil —
@@ -284,12 +282,12 @@ type Result struct {
 
 	// Telemetry is the aggregated instrumentation snapshot when
 	// Config.Telemetry was set, nil otherwise. Everything in it except
-	// wall-clock durations is bit-identical across worker counts.
+	// wall-clock durations is bit-identical run to run.
 	Telemetry *telemetry.Snapshot
 
 	// Quality is the prediction-quality digest (the same object as
 	// Telemetry.Quality) when Config.Telemetry was set, nil otherwise.
-	// Fully deterministic across worker counts.
+	// Fully deterministic.
 	Quality *telemetry.Quality
 }
 
@@ -319,13 +317,11 @@ func (r *Result) Branches() []Branch {
 }
 
 // Analyze runs value range propagation over an SSA-form program. The
-// interprocedural fixpoint is scheduled by the parallel, incremental
-// driver (see driver.go): topological waves over the call graph
-// condensation, Config.Workers concurrent per-function engines, and
+// interprocedural fixpoint is scheduled by the incremental driver (see
+// driver.go): passes over the call graph condensation in SCC order, with
 // dirty-set skipping of functions whose interprocedural inputs did not
-// change since their last run. Results are bit-identical for every worker
-// count. Cancellation comes from Config.Ctx (nil = background); see
-// AnalyzeContext.
+// change since their last run. Cancellation comes from Config.Ctx
+// (nil = background); see AnalyzeContext.
 func Analyze(p *ir.Program, cfg Config) (*Result, error) {
 	ctx := cfg.Ctx
 	if ctx == nil {

@@ -28,7 +28,6 @@ func TestRecursionWideningConverges(t *testing.T) {
 	prog := ackermannProg(t)
 
 	base := DefaultConfig()
-	base.Workers = 1
 	res, err := Analyze(prog, base)
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +45,6 @@ func TestRecursionWideningConverges(t *testing.T) {
 	}
 
 	off := DefaultConfig()
-	off.Workers = 1
 	off.RecWidenAfter = 0 // opt out
 	ores, err := Analyze(prog, off)
 	if err != nil {
@@ -65,7 +63,6 @@ func TestRecursionWideningConverges(t *testing.T) {
 func TestRecursionWideningEarlier(t *testing.T) {
 	prog := ackermannProg(t)
 	wcfg := DefaultConfig()
-	wcfg.Workers = 1
 	wcfg.RecWidenAfter = 3
 	wres, err := Analyze(prog, wcfg)
 	if err != nil {
@@ -80,29 +77,25 @@ func TestRecursionWideningEarlier(t *testing.T) {
 }
 
 // TestRecursionWideningDeterministic: widening decisions live on the
-// interprocedural tables, which are shared across worker tasks — the
-// pin/clamp schedule must not depend on the worker count.
+// interprocedural tables — the pin/clamp schedule must be identical from
+// run to run.
 func TestRecursionWideningDeterministic(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RecWidenAfter = 2
 	for _, cp := range corpus.All() {
 		prog := compileSrc(t, cp.Name, cp.Source)
-		seqCfg := DefaultConfig()
-		seqCfg.Workers = 1
-		seqCfg.RecWidenAfter = 2
-		parCfg := DefaultConfig()
-		parCfg.Workers = 8
-		parCfg.RecWidenAfter = 2
-		seq, err := Analyze(prog, seqCfg)
+		first, err := Analyze(prog, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", cp.Name, err)
 		}
-		par, err := Analyze(prog, parCfg)
+		second, err := Analyze(prog, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", cp.Name, err)
 		}
-		branchesEqual(t, cp.Name, seq.Branches(), par.Branches())
-		if seq.Stats != par.Stats {
-			t.Errorf("%s: stats differ across worker counts:\nseq %+v\npar %+v",
-				cp.Name, seq.Stats, par.Stats)
+		branchesEqual(t, cp.Name, first.Branches(), second.Branches())
+		if first.Stats != second.Stats {
+			t.Errorf("%s: stats differ between two runs:\nfirst  %+v\nsecond %+v",
+				cp.Name, first.Stats, second.Stats)
 		}
 	}
 }

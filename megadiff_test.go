@@ -48,7 +48,7 @@ func TestDifferentialPredictionsOnPresetShapes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a, err := p.Analyze(vrp.WithWorkers(1))
+			a, err := p.Analyze()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -167,10 +167,9 @@ func WithRecursionWidening(k int) Option {
 	return func(c *corevrp.Config) { c.RecWidenAfter = k }
 }
 
-// WithWorkers bounds the number of per-function engines the analysis
-// driver runs concurrently within one call-graph wave: 0 (the default)
-// picks one per available CPU, 1 forces the fully sequential schedule.
-// Results are bit-identical for every setting; only wall-clock changes.
+// WithWorkers is ignored: the analysis driver runs one sequential
+// schedule. It remains for perfbench and the golden digest test, its
+// only callers.
 func WithWorkers(n int) Option {
 	return func(c *corevrp.Config) { c.Workers = n }
 }
@@ -236,17 +235,15 @@ type TelemetrySnapshot = telemetry.Snapshot
 type TraceSpanID = telemetry.SpanID
 
 // RequestTrace is the request-scoped span tree: a timed tree of phases
-// (parse, SSA, driver passes/waves, per-function engine runs, store
-// splices) exportable as a Chrome trace. See telemetry.Trace.
+// (parse, SSA, driver passes, per-function engine runs, store splices) exportable as a Chrome trace. See telemetry.Trace.
 type RequestTrace = telemetry.Trace
 
 // NoTraceSpan is the absent parent span (roots the tree).
 const NoTraceSpan = telemetry.NoSpan
 
 // WithTrace attaches a request-scoped span tree to the analysis: the
-// driver records callgraph condensation, every fixpoint pass and wave,
-// every per-function engine run (on its worker's lane) and every store
-// splice as spans under parent, plus zero-duration marks for skipped
+// driver records callgraph condensation, every fixpoint pass, and every
+// per-function engine run and store splice as spans under parent, plus zero-duration marks for skipped
 // functions and diagnostics. Unlike WithTelemetry the spans carry
 // only wall-clock timings and labels — nothing reads them back, so
 // tracing never perturbs analysis results — and a nil tr is the
@@ -263,7 +260,7 @@ func WithTrace(tr *RequestTrace, parent TraceSpanID) Option {
 // applications), driver counters (engine runs, skips, degraded runs per
 // function; wall time per pass), and range histograms. The aggregated snapshot is available from
 // Analysis.Telemetry; everything in it except wall-clock durations is
-// bit-identical across worker counts. Disabled (the default) it costs
+// bit-identical run to run. Disabled (the default) it costs
 // nothing on the engine hot path.
 func WithTelemetry() Option {
 	return func(c *corevrp.Config) { c.Telemetry = telemetry.New() }
@@ -386,7 +383,7 @@ func (a *Analysis) Telemetry() *TelemetrySnapshot {
 // final-cell class and width histograms, the precision-loss ledger,
 // per-predictor evidence attribution and per-function quality scores.
 // Unlike the rest of the telemetry snapshot it carries no wall-clock
-// state, so every field is bit-identical across worker counts. See
+// state, so every field is bit-identical run to run. See
 // DESIGN.md §3.12.
 type QualitySnapshot = telemetry.Quality
 
