@@ -23,12 +23,11 @@
 //	-log text|json         request log format (default json)
 //
 // Endpoints: POST /v1/analyze (Mini source → predictions JSON;
-// ?explain=func:line, ?telemetry=1), POST /v1/analyze-batch
-// ({"programs": [...]} → per-program results, pipelined over one warm
-// store), GET /metrics, /healthz, /readyz, /debug/vrpd/requests (flight
-// recorder index), /debug/vrpd/trace/{id} (Chrome trace of one retained
-// request), /debug/pprof. See README "Running the server" and "Debugging
-// a slow request".
+// ?explain=func:line, ?telemetry=1), GET /metrics, /healthz, /readyz,
+// /debug/vrpd/requests (flight recorder index), /debug/vrpd/quality
+// (prediction-quality tables of retained analyses), /debug/vrpd/trace/{id}
+// (Chrome trace of one retained request), /debug/pprof. See README
+// "Running the server" and "Debugging a slow request".
 package main
 
 import (

@@ -28,8 +28,6 @@ type resultCache struct {
 	max     int
 	entries map[uint64]*list.Element
 	order   *list.List // front = most recently used
-
-	evictions int64
 }
 
 type cacheEntry struct {
@@ -103,7 +101,6 @@ func (c *resultCache) put(key uint64, src, body []byte) (evicted int, collided b
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
 		delete(c.entries, oldest.Value.(*cacheEntry).key)
-		c.evictions++
 		evicted++
 	}
 	return evicted, collided

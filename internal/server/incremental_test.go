@@ -263,175 +263,3 @@ func TestShedLatencyObserved(t *testing.T) {
 		t.Errorf("shed counter = %v, want 1", m["vrpd_requests_shed_total"])
 	}
 }
-
-// ------------------------------------------------------------- batch
-
-func postBatch(t *testing.T, h http.Handler, programs []string) *httptest.ResponseRecorder {
-	t.Helper()
-	blob, err := json.Marshal(map[string][]string{"programs": programs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/analyze-batch", bytes.NewReader(blob)))
-	return rec
-}
-
-// TestBatchByteIdenticalPerItem: every batch item's status and body
-// match what /v1/analyze returns for the same program on an identically
-// configured server.
-func TestBatchByteIdenticalPerItem(t *testing.T) {
-	batchSrv, _ := newTestServer(t, nil)
-	singleSrv, _ := newTestServer(t, nil)
-
-	good := "func main() { var x = input(); if (x < 5) { print(1); } print(0); }"
-	bad := "func main( {"
-	programs := []string{good, bad, "", good} // last one repeats: in-batch cache hit or re-analysis, same bytes either way
-
-	rec := postBatch(t, batchSrv.Handler(), programs)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("batch status = %d: %s", rec.Code, rec.Body.String())
-	}
-	var br struct {
-		Results []struct {
-			Status int             `json:"status"`
-			Body   json.RawMessage `json:"body"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &br); err != nil {
-		t.Fatal(err)
-	}
-	if len(br.Results) != len(programs) {
-		t.Fatalf("%d results, want %d", len(br.Results), len(programs))
-	}
-	for i, p := range programs {
-		single := postAnalyze(t, singleSrv.Handler(), "/v1/analyze", p)
-		if br.Results[i].Status != single.Code {
-			t.Errorf("item %d status = %d, want %d", i, br.Results[i].Status, single.Code)
-		}
-		want := bytes.TrimSuffix(single.Body.Bytes(), []byte("\n"))
-		if !bytes.Equal(br.Results[i].Body, want) {
-			t.Errorf("item %d body differs from /v1/analyze:\nbatch:  %s\nsingle: %s",
-				i, br.Results[i].Body, want)
-		}
-	}
-
-	m := scrape(t, batchSrv.Handler())
-	if got := m["vrpd_batch_duration_seconds_count"]; got != 1 {
-		t.Errorf("batch latency observations = %v, want 1", got)
-	}
-	if got := m[`vrpd_analyses_total{outcome="compile_error"}`]; got != 1 {
-		t.Errorf("compile_error outcomes = %v, want 1", got)
-	}
-}
-
-// TestBatchSharedCache: a batch item and a prior single request share
-// the response cache.
-func TestBatchSharedCache(t *testing.T) {
-	srv, _ := newTestServer(t, nil)
-	src := exampleSource(t)
-
-	single := postAnalyze(t, srv.Handler(), "/v1/analyze", src)
-	if single.Code != http.StatusOK {
-		t.Fatalf("single status = %d", single.Code)
-	}
-	rec := postBatch(t, srv.Handler(), []string{src})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("batch status = %d", rec.Code)
-	}
-	var br batchResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &br); err != nil {
-		t.Fatal(err)
-	}
-	if want := bytes.TrimSuffix(single.Body.Bytes(), []byte("\n")); !bytes.Equal(br.Results[0].Body, want) {
-		t.Error("cached batch item differs from the single response")
-	}
-	m := scrape(t, srv.Handler())
-	if m["vrpd_cache_hits_total"] != 1 {
-		t.Errorf("cache hits = %v, want 1 (the batch item)", m["vrpd_cache_hits_total"])
-	}
-}
-
-// TestBatchValidation: the envelope-level error paths.
-func TestBatchValidation(t *testing.T) {
-	srv, _ := newTestServer(t, nil)
-
-	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/analyze-batch", nil))
-	if rec.Code != http.StatusMethodNotAllowed {
-		t.Errorf("GET status = %d, want 405", rec.Code)
-	}
-
-	if rec := postBatch(t, srv.Handler(), nil); rec.Code != http.StatusBadRequest {
-		t.Errorf("empty batch status = %d, want 400", rec.Code)
-	}
-
-	over := make([]string, MaxBatchPrograms+1)
-	for i := range over {
-		over[i] = "func main() { print(1); }"
-	}
-	if rec := postBatch(t, srv.Handler(), over); rec.Code != http.StatusBadRequest {
-		t.Errorf("oversized batch status = %d, want 400", rec.Code)
-	}
-
-	rec = httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/analyze-batch", strings.NewReader("not json")))
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("bad JSON status = %d, want 400", rec.Code)
-	}
-}
-
-// TestBatchOversizedItem: a single item beyond MaxSourceBytes fails with
-// 413 in its slot without sinking the batch.
-func TestBatchOversizedItem(t *testing.T) {
-	srv, _ := newTestServer(t, func(c *Config) { c.MaxSourceBytes = 128 })
-	big := "func main() { print(1); } " + strings.Repeat("// padding\n", 30)
-	rec := postBatch(t, srv.Handler(), []string{"func main() { print(1); }", big})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("batch status = %d", rec.Code)
-	}
-	var br batchResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &br); err != nil {
-		t.Fatal(err)
-	}
-	if br.Results[0].Status != http.StatusOK {
-		t.Errorf("item 0 status = %d, want 200", br.Results[0].Status)
-	}
-	if br.Results[1].Status != http.StatusRequestEntityTooLarge {
-		t.Errorf("item 1 status = %d, want 413", br.Results[1].Status)
-	}
-}
-
-// TestBatchWarmStore: a batch over single-function edits of an already
-// seen program hits the per-function store.
-func TestBatchWarmStore(t *testing.T) {
-	srv, _ := newTestServer(t, nil)
-	base := genprog.Source(genCfg)
-	if rec := postAnalyze(t, srv.Handler(), "/v1/analyze", base); rec.Code != http.StatusOK {
-		t.Fatalf("base status = %d", rec.Code)
-	}
-	h0 := scrape(t, srv.Handler())["vrpd_funcstore_hits_total"]
-
-	programs := []string{
-		editedProgram(t, base, 1, 11),
-		editedProgram(t, base, 2, 22),
-		editedProgram(t, base, 3, 33),
-	}
-	rec := postBatch(t, srv.Handler(), programs)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("batch status = %d", rec.Code)
-	}
-	var br batchResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &br); err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range br.Results {
-		if res.Status != http.StatusOK {
-			t.Errorf("item %d status = %d", i, res.Status)
-		}
-	}
-	hits := scrape(t, srv.Handler())["vrpd_funcstore_hits_total"] - h0
-	if want := float64(len(programs) * (genCfg.Funcs - 1)); hits < want {
-		t.Errorf("batch funcstore hits = %v, want >= %v", hits, want)
-	}
-}

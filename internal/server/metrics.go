@@ -36,10 +36,6 @@ type serverMetrics struct {
 	notConverged *metrics.Counter    // vrpd_analyses_not_converged_total
 	passes       *metrics.Histogram  // vrpd_analysis_passes
 
-	// Batch surface.
-	batchLatency *metrics.Histogram // vrpd_batch_duration_seconds
-	batchSize    *metrics.Histogram // vrpd_batch_programs
-
 	// Result cache.
 	cacheHits       *metrics.Counter // vrpd_cache_hits_total
 	cacheMisses     *metrics.Counter // vrpd_cache_misses_total
@@ -178,16 +174,13 @@ func newServerMetrics(start time.Time, sloTarget float64) *serverMetrics {
 		requests: reg.CounterVec("vrpd_http_requests_total", "HTTP requests by path and status code.", "path", "code"),
 		inflight: reg.Gauge("vrpd_inflight_requests", "Analyze requests currently being served."),
 		shed:     reg.Counter("vrpd_requests_shed_total", "Analyze requests rejected with 429 because the in-flight bound was reached."),
-		latency:  reg.Histogram("vrpd_analyze_duration_seconds", "Wall time of every /v1/analyze request: analyses, cache hits, errors, and 429 load sheds alike (batch requests land in vrpd_batch_duration_seconds instead).", latencyBuckets),
+		latency:  reg.Histogram("vrpd_analyze_duration_seconds", "Wall time of every /v1/analyze request: analyses, cache hits, errors, and 429 load sheds alike.", latencyBuckets),
 		srcBytes: reg.Histogram("vrpd_analyze_source_bytes", "Size of submitted Mini sources in bytes.", sourceBuckets),
 
 		analyses:     reg.CounterVec("vrpd_analyses_total", "Completed analyze requests by outcome.", "outcome"),
 		converged:    reg.Counter("vrpd_analyses_converged_total", "Analyses whose interprocedural fixpoint converged."),
 		notConverged: reg.Counter("vrpd_analyses_not_converged_total", "Analyses that exhausted MaxPasses (optimistic values demoted)."),
 		passes:       reg.Histogram("vrpd_analysis_passes", "Interprocedural fixpoint passes per analysis.", []float64{1, 2, 3, 4, 6, 8}),
-
-		batchLatency: reg.Histogram("vrpd_batch_duration_seconds", "Wall time of every /v1/analyze-batch request, 429 load sheds included.", latencyBuckets),
-		batchSize:    reg.Histogram("vrpd_batch_programs", "Programs per accepted /v1/analyze-batch request.", []float64{1, 2, 4, 8, 16, 32, 64}),
 
 		cacheHits:       reg.Counter("vrpd_cache_hits_total", "Analyze requests served from the fingerprint-keyed result cache."),
 		cacheMisses:     reg.Counter("vrpd_cache_misses_total", "Cacheable analyze requests that had to run the analysis."),

@@ -68,7 +68,8 @@ func (e *recordedRequest) interesting() bool {
 	return e.Degraded || !e.Converged || e.Status >= 400
 }
 
-// Recorder defaults (Config overrides).
+// Recorder sizing. Config.RecorderEntries overrides the capacity; the
+// slowest-K set and the 1-in-N baseline sample are fixed.
 const (
 	DefaultRecorderEntries = 256
 	DefaultRecorderSlowK   = 8
@@ -91,14 +92,8 @@ func newFlightRecorder(capacity, slowK int, sampleN int64) *flightRecorder {
 	if capacity <= 0 {
 		return nil // disabled
 	}
-	if slowK <= 0 {
-		slowK = DefaultRecorderSlowK
-	}
 	if slowK > capacity {
 		slowK = capacity
-	}
-	if sampleN <= 0 {
-		sampleN = DefaultRecorderSampleN
 	}
 	return &flightRecorder{
 		cap:     capacity,

@@ -8,13 +8,6 @@
 //	                   ?explain=func:line adds the provenance chain of
 //	                   one branch; ?telemetry=1 attaches the run's full
 //	                   telemetry snapshot. Both bypass the result cache.
-//	POST /v1/analyze-batch
-//	                   {"programs": ["src", ...]} → {"results": [{"status",
-//	                   "body"}, ...]}, one entry per program in order; each
-//	                   body is byte-identical to what /v1/analyze would
-//	                   have returned. The batch holds one in-flight slot
-//	                   and pipelines parse→SSA against VRP across items,
-//	                   all sharing the warm caches.
 //	GET  /metrics      Prometheus text exposition (internal/metrics).
 //	GET  /healthz      liveness: 200 while the process runs.
 //	GET  /readyz       readiness: 200 until Shutdown begins, then 503.
@@ -22,6 +15,9 @@
 //	                   flight-recorder index: the retained tail of recent
 //	                   traffic (slowest, degraded, shed, sampled), newest
 //	                   first; ?sort=slowest ranks by latency.
+//	GET  /debug/vrpd/quality
+//	                   prediction-quality tables of the retained fresh
+//	                   analyses.
 //	GET  /debug/vrpd/trace/{id}
 //	                   one retained request's span tree as Chrome trace
 //	                   JSON (opens in Perfetto / chrome://tracing).
@@ -53,7 +49,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -111,12 +106,6 @@ type Config struct {
 	// negative disables the recorder (its endpoints 404), 0 means
 	// DefaultRecorderEntries.
 	RecorderEntries int
-
-	// RecorderSlowK is how many slowest-so-far requests the recorder
-	// always keeps; RecorderSampleN keeps a deterministic 1-in-N baseline
-	// sample of routine traffic. 0 means the defaults in recorder.go.
-	RecorderSlowK   int
-	RecorderSampleN int64
 
 	// Logger receives the structured request log. nil means
 	// slog.Default().
@@ -190,7 +179,7 @@ func New(cfg Config) *Server {
 		m:        m,
 		cache:    newResultCache(cfg.CacheEntries),
 		fstore:   newFuncStore(cfg.FuncStoreEntries, m),
-		recorder: newFlightRecorder(cfg.RecorderEntries, cfg.RecorderSlowK, cfg.RecorderSampleN),
+		recorder: newFlightRecorder(cfg.RecorderEntries, DefaultRecorderSlowK, DefaultRecorderSampleN),
 		sem:      make(chan struct{}, cfg.MaxInFlight),
 		mux:      http.NewServeMux(),
 		idPrefix: strconv.FormatInt(start.UnixNano()&0xfffffff, 36),
@@ -204,7 +193,6 @@ func New(cfg Config) *Server {
 			func() float64 { return float64(s.recorder.len()) })
 	}
 	s.mux.Handle("/v1/analyze", s.instrument("/v1/analyze", s.handleAnalyze))
-	s.mux.Handle("/v1/analyze-batch", s.instrument("/v1/analyze-batch", s.handleAnalyzeBatch))
 	s.mux.Handle("/metrics", s.instrument("/metrics", s.m.reg.Handler().ServeHTTP))
 	s.mux.Handle("/healthz", s.instrument("/healthz", s.handleHealthz))
 	s.mux.Handle("/readyz", s.instrument("/readyz", s.handleReadyz))
@@ -486,7 +474,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	wantTelemetry := q.Get("telemetry") == "1"
 
 	if explain == "" && !wantTelemetry {
-		status, outcome, disp, body, resp := s.analyzePlain(r.Context(), src, tr, root)
+		status, outcome, disp, body, resp := s.analyzePlain(r.Context(), fp, src, tr, root)
 		s.countOutcome(outcome)
 		wSpan := tr.Start(root, "phase", "write")
 		s.logAnalyze(r, outcome, disp, t0, resp)
@@ -580,26 +568,24 @@ func hashSource(src []byte) uint64 {
 	return vrange.HashBytes(src)
 }
 
-// cacheProbe looks src up in the response cache and returns the request's
-// cache disposition: "hit" (body is the cached response), "miss", or
-// "bypass" (caching disabled). Hit/miss/bypass/collision counters are
-// maintained here so /v1/analyze and batch items count identically.
-func (s *Server) cacheProbe(src []byte) (key uint64, body []byte, disp string) {
+// cacheProbe looks src, fingerprinted as key, up in the response cache
+// and returns the request's cache disposition: "hit" (body is the cached
+// response), "miss", or "bypass" (caching disabled), counting each.
+func (s *Server) cacheProbe(key uint64, src []byte) (body []byte, disp string) {
 	if s.cache == nil {
 		s.m.cacheBypass.Inc()
-		return 0, nil, "bypass"
+		return nil, "bypass"
 	}
-	key = hashSource(src)
 	cached, ok, collided := s.cache.get(key, src)
 	if collided {
 		s.m.cacheCollisions.Inc()
 	}
 	if ok {
 		s.m.cacheHits.Inc()
-		return key, cached, "hit"
+		return cached, "hit"
 	}
 	s.m.cacheMisses.Inc()
-	return key, nil, "miss"
+	return nil, "miss"
 }
 
 // cacheFill stores a successful plain response body under (key, src).
@@ -617,8 +603,8 @@ func (s *Server) cacheFill(key uint64, src, body []byte) {
 }
 
 // marshalBody serializes a response value exactly as writeJSON does
-// (compact JSON plus trailing newline), so cached bodies, batch items and
-// direct writes are all byte-identical.
+// (compact JSON plus trailing newline), so cached bodies and direct
+// writes are byte-identical.
 func marshalBody(v any) []byte {
 	body, err := json.Marshal(v)
 	if err != nil { // cannot happen for these types; fail loudly anyway
@@ -628,17 +614,15 @@ func marshalBody(v any) []byte {
 }
 
 // analyzePlain serves one plain analysis (no explain, no telemetry
-// attachment) through the response cache. It is the shared core of
-// /v1/analyze and each /v1/analyze-batch item: callers get the HTTP
-// status, outcome label, cache disposition, the exact response body, and
-// — when a fresh analysis succeeded — the decoded response for logging.
-func (s *Server) analyzePlain(ctx context.Context, src []byte, tr *telemetry.Trace, parent telemetry.SpanID) (status int, outcome, disp string, body []byte, resp *AnalyzeResponse) {
+// attachment) of src, fingerprinted as key, through the response cache:
+// it returns the HTTP status, outcome label, cache disposition, the exact
+// response body, and — when a fresh analysis succeeded — the decoded
+// response for logging.
+func (s *Server) analyzePlain(ctx context.Context, key uint64, src []byte, tr *telemetry.Trace, parent telemetry.SpanID) (status int, outcome, disp string, body []byte, resp *AnalyzeResponse) {
 	cpSpan := tr.Start(parent, "phase", "cache_probe")
-	key, cached, disp := s.cacheProbe(src)
-	if tr != nil {
-		tr.Annotate(cpSpan, "disposition", disp)
-		tr.End(cpSpan)
-	}
+	cached, disp := s.cacheProbe(key, src)
+	tr.Annotate(cpSpan, "disposition", disp)
+	tr.End(cpSpan)
 	if disp == "hit" {
 		return http.StatusOK, "cache_hit", disp, cached, nil
 	}
@@ -662,12 +646,6 @@ func (s *Server) analyze(ctx context.Context, src []byte, explain string, wantTe
 	if err != nil {
 		return nil, http.StatusUnprocessableEntity, "compile_error", &errorResponse{Error: err.Error(), Stage: "compile"}
 	}
-	return s.analyzeCompiled(ctx, prog, explain, wantTelemetry, tr, parent)
-}
-
-// analyzeCompiled runs VRP on an already compiled program (the batch
-// pipeline compiles item i+1 while this analyzes item i).
-func (s *Server) analyzeCompiled(ctx context.Context, prog *vrp.Program, explain string, wantTelemetry bool, tr *telemetry.Trace, parent telemetry.SpanID) (*AnalyzeResponse, int, string, *errorResponse) {
 	if s.cfg.AnalyzeTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.AnalyzeTimeout)
@@ -752,167 +730,6 @@ func (s *Server) analyzeCompiled(ctx context.Context, prog *vrp.Program, explain
 		resp.Telemetry = snap
 	}
 	return resp, http.StatusOK, "ok", nil
-}
-
-// ---------------------------------------------------------------- batch
-
-// MaxBatchPrograms bounds one /v1/analyze-batch request.
-const MaxBatchPrograms = 64
-
-// batchRequest is the JSON body of POST /v1/analyze-batch.
-type batchRequest struct {
-	Programs []string `json:"programs"`
-}
-
-// batchItem is one program's result. Status is the HTTP status the same
-// program POSTed to /v1/analyze would have produced, and Body is
-// byte-identical to that response's body.
-type batchItem struct {
-	Status int             `json:"status"`
-	Body   json.RawMessage `json:"body"`
-}
-
-// batchResponse is the JSON body of a successful batch request. The
-// envelope itself is 200 even when individual items failed; per-item
-// status lives in each result.
-type batchResponse struct {
-	Results []batchItem `json:"results"`
-}
-
-// handleAnalyzeBatch serves POST /v1/analyze-batch: N plain analyses in
-// one request, sharing one in-flight slot and the warm response cache and
-// per-function store. Items are processed in order, but as a two-stage
-// pipeline: a producer goroutine runs the cheap front half (validation,
-// cache probe, parse→SSA) of item i+1 while this goroutine runs VRP on
-// item i.
-func (s *Server) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.writeError(w, http.StatusMethodNotAllowed, "", "POST a JSON batch to /v1/analyze-batch")
-		return
-	}
-
-	// As with /v1/analyze, timing starts before the shed check so 429s
-	// are visible in the batch latency histogram.
-	t0 := time.Now()
-	defer func() { s.m.batchLatency.Observe(time.Since(t0).Seconds()) }()
-
-	// One batch holds one in-flight slot: its items run sequentially
-	// (pipelined against compilation), so however large, it occupies a
-	// single analysis lane.
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		s.m.shed.Inc()
-		w.Header().Set("Retry-After", "1")
-		s.writeError(w, http.StatusTooManyRequests, "", "server at capacity, retry later")
-		return
-	}
-	defer func() { <-s.sem }()
-	s.m.inflight.Inc()
-	defer s.m.inflight.Dec()
-
-	maxBody := s.cfg.MaxSourceBytes * MaxBatchPrograms
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			s.writeError(w, http.StatusRequestEntityTooLarge, "read",
-				fmt.Sprintf("batch exceeds %d bytes", maxBody))
-			return
-		}
-		s.writeError(w, http.StatusBadRequest, "read", err.Error())
-		return
-	}
-	var req batchRequest
-	if err := json.Unmarshal(raw, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "read", "bad batch JSON: "+err.Error())
-		return
-	}
-	if len(req.Programs) == 0 {
-		s.writeError(w, http.StatusBadRequest, "read", `empty batch: want {"programs": ["...", ...]}`)
-		return
-	}
-	if len(req.Programs) > MaxBatchPrograms {
-		s.writeError(w, http.StatusBadRequest, "read",
-			fmt.Sprintf("batch of %d programs exceeds the %d-program cap", len(req.Programs), MaxBatchPrograms))
-		return
-	}
-	s.m.batchSize.Observe(float64(len(req.Programs)))
-
-	if s.testHookAnalyze != nil {
-		s.testHookAnalyze()
-	}
-
-	// batchJob carries one item through the pipeline. Stage one resolves
-	// it outright (validation failure, cache hit, compile error → body
-	// set) or hands over a compiled program for stage two to analyze.
-	type batchJob struct {
-		src     []byte
-		key     uint64
-		disp    string
-		status  int
-		outcome string
-		body    []byte       // non-nil: resolved by stage one
-		prog    *vrp.Program // non-nil: ready for VRP
-	}
-	jobs := make(chan *batchJob, len(req.Programs))
-	go func() {
-		defer close(jobs)
-		for _, p := range req.Programs {
-			job := &batchJob{src: []byte(p), disp: "bypass"}
-			switch {
-			case len(job.src) == 0:
-				job.status, job.outcome = http.StatusBadRequest, "empty"
-				job.body = marshalBody(&errorResponse{Error: "empty body: POST Mini source", Stage: "read"})
-			case int64(len(job.src)) > s.cfg.MaxSourceBytes:
-				job.status, job.outcome = http.StatusRequestEntityTooLarge, "too_large"
-				job.body = marshalBody(&errorResponse{
-					Error: fmt.Sprintf("source exceeds %d bytes", s.cfg.MaxSourceBytes), Stage: "read"})
-			default:
-				s.m.srcBytes.Observe(float64(len(job.src)))
-				var cached []byte
-				job.key, cached, job.disp = s.cacheProbe(job.src)
-				if job.disp == "hit" {
-					job.status, job.outcome, job.body = http.StatusOK, "cache_hit", cached
-					break
-				}
-				prog, err := vrp.Compile("request.mini", string(job.src))
-				if err != nil {
-					job.status, job.outcome = http.StatusUnprocessableEntity, "compile_error"
-					job.body = marshalBody(&errorResponse{Error: err.Error(), Stage: "compile"})
-					break
-				}
-				job.prog = prog
-			}
-			jobs <- job
-		}
-	}()
-
-	results := make([]batchItem, 0, len(req.Programs))
-	for job := range jobs {
-		if job.body == nil {
-			resp, status, outcome, errResp := s.analyzeCompiled(r.Context(), job.prog, "", false, nil, telemetry.NoSpan)
-			job.status, job.outcome = status, outcome
-			if errResp != nil {
-				job.body = marshalBody(errResp)
-			} else {
-				job.body = marshalBody(resp)
-				if job.disp == "miss" {
-					s.cacheFill(job.key, job.src, job.body)
-				}
-			}
-		}
-		s.countOutcome(job.outcome)
-		// Bodies are compact json.Marshal output, so embedding them as a
-		// RawMessage (minus the framing newline) re-serializes to the
-		// exact same bytes /v1/analyze sent.
-		results = append(results, batchItem{
-			Status: job.status,
-			Body:   json.RawMessage(bytes.TrimSuffix(job.body, []byte("\n"))),
-		})
-	}
-	s.writeJSON(w, http.StatusOK, &batchResponse{Results: results})
 }
 
 // logAnalyze emits the analysis-specific log record (the instrument

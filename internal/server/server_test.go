@@ -201,6 +201,16 @@ func TestMetricsGoldenScrape(t *testing.T) {
 			t.Errorf("scrape still exports %s", series)
 		}
 	}
+	// The batch endpoint and its histograms are gone: no series, and the
+	// path 404s.
+	for series := range m {
+		if strings.HasPrefix(series, "vrpd_batch_") {
+			t.Errorf("scrape still exports %s", series)
+		}
+	}
+	if rec := postAnalyze(t, srv.Handler(), "/v1/analyze-batch", `{"programs":["func main() { print(1); }"]}`); rec.Code != http.StatusNotFound {
+		t.Errorf("POST /v1/analyze-batch status = %d, want 404", rec.Code)
+	}
 	if v, ok := m["vrpd_lattice_widens_total"]; !ok || v != 0 {
 		t.Errorf("vrpd_lattice_widens_total = %v, %v; want present and 0 (derived loops)", v, ok)
 	}
